@@ -7,7 +7,7 @@
 
 namespace sagesim::cloud {
 
-void TenantLedger::add(LeaseRecord record) {
+const TenantSpendRow& TenantLedger::add(LeaseRecord record) {
   auto& row = by_tenant_[record.tenant];
   row.tenant = record.tenant;
   row.gpu_hours += record.gpu_hours;
@@ -15,6 +15,7 @@ void TenantLedger::add(LeaseRecord record) {
   ++row.leases;
   total_usd_ += record.cost_usd;
   records_.push_back(std::move(record));
+  return row;
 }
 
 double TenantLedger::spend(const std::string& tenant) const {

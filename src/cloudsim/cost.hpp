@@ -56,7 +56,10 @@ struct TenantSpendRow {
 /// tables read the same shape.
 class TenantLedger {
  public:
-  void add(LeaseRecord record);
+  /// Appends @p record and returns its tenant's rollup row.  Rows are never
+  /// moved, so a caller may keep the reference to read the tenant's spend
+  /// without a lookup (it dangles only with the ledger itself).
+  const TenantSpendRow& add(LeaseRecord record);
 
   const std::vector<LeaseRecord>& records() const { return records_; }
 

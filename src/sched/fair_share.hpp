@@ -6,8 +6,10 @@
 // one deadline is not penalized at the next).
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace sagesim::sched {
 
@@ -22,10 +24,17 @@ struct FairShareConfig {
 
 class FairShare {
  public:
+  /// Dense handle of one tenant's entry; stable for the FairShare's life.
+  using Slot = std::size_t;
+
   FairShare() = default;
   explicit FairShare(FairShareConfig config) : config_(config) {}
 
   const FairShareConfig& config() const { return config_; }
+
+  /// The tenant's slot, creating a weight-1 entry on first use.  The
+  /// scheduler resolves each tenant once and charges/scores by slot.
+  Slot slot(const std::string& tenant);
 
   /// Sets a tenant's share weight (default 1.0; graduate researchers get
   /// more).  Must be > 0; values <= 0 throw (API misuse).
@@ -34,12 +43,14 @@ class FairShare {
 
   /// Charges @p gpu_hours of usage to @p tenant at simulated time @p now_h.
   void charge(const std::string& tenant, double gpu_hours, double now_h);
+  void charge(Slot slot, double gpu_hours, double now_h);
 
   /// Decayed usage (GPU-hours) as of @p now_h.
   double usage(const std::string& tenant, double now_h) const;
 
   /// Scheduling score: decayed usage / weight.  Lower schedules first.
   double share_score(const std::string& tenant, double now_h) const;
+  double share_score(Slot slot, double now_h) const;
 
  private:
   struct Entry {
@@ -49,9 +60,11 @@ class FairShare {
   };
 
   double decayed(const Entry& e, double now_h) const;
+  const Entry* find(const std::string& tenant) const;
 
   FairShareConfig config_;
-  std::map<std::string, Entry> entries_;
+  std::vector<Entry> entries_;
+  std::map<std::string, Slot> slots_;
 };
 
 }  // namespace sagesim::sched

@@ -25,7 +25,9 @@ std::string job_label(JobId id) { return "job-" + std::to_string(id); }
 }  // namespace
 
 ClusterManager::ClusterManager(ManagerConfig config)
-    : config_(std::move(config)), fleet_role_(cloud::instructor_role()) {
+    : config_(std::move(config)),
+      fleet_role_(cloud::instructor_role()),
+      fair_(config_.fair_share) {
   if (config_.max_nodes < 1)
     throw std::invalid_argument("ClusterManager: max_nodes must be >= 1");
   if (config_.min_nodes < 0 || config_.min_nodes > config_.max_nodes)
@@ -64,6 +66,7 @@ void ClusterManager::register_tenant(TenantConfig config) {
   if (!config.role) config.role = cloud::student_role(config.id);
   fair_.set_weight(config.id, config.weight);
   Tenant t;
+  t.share_slot = fair_.slot(config.id);
   t.cfg = std::move(config);
   tenants_.emplace(t.cfg.id, std::move(t));
 }
@@ -101,23 +104,20 @@ double ClusterManager::cost_estimate_usd(const JobSpec& spec) const {
   return static_cast<double>(spec.ranks) * spec.service_h * ondemand_rate_;
 }
 
-double ClusterManager::tenant_spend_now(const std::string& tenant) const {
-  double spend = ledger_.spend(tenant);
-  for (const auto& [id, run] : running_) {
-    auto it = jobs_.find(id);
-    if (it != jobs_.end() && it->second.spec.tenant == tenant)
-      spend += (now_h_ - run.start_h) * run.rate_usd;
-  }
+double ClusterManager::tenant_spend_now(const Tenant& tenant) const {
+  double spend = tenant.billed_usd();
+  for (const auto& [id, run] : running_)
+    if (run.tenant == &tenant) spend += (now_h_ - run.start_h) * run.rate_usd;
   return spend;
 }
 
 double ClusterManager::suggested_retry_locked(const std::string& tenant) const {
   double best = kInf;
-  for (const auto& [id, run] : running_) {
-    auto it = jobs_.find(id);
-    if (it != jobs_.end() && it->second.spec.tenant == tenant)
-      best = std::min(best, run.finish_h - now_h_);
-  }
+  auto it = tenants_.find(tenant);
+  if (it != tenants_.end())
+    for (const auto& [id, run] : running_)
+      if (run.tenant == &it->second)
+        best = std::min(best, run.finish_h - now_h_);
   if (!std::isfinite(best)) best = 0.25;  // nothing running: short backoff
   return std::max(best, 0.05);
 }
@@ -180,7 +180,7 @@ Expected<JobId> ClusterManager::submit(JobSpec spec) {
   // of every outstanding job must stay under the cap, so admitted jobs do
   // not rely on the mid-job cutoff in normal operation.
   const double estimate = config_.admission_margin * cost_estimate_usd(spec);
-  const double committed = tenant_spend_now(spec.tenant);
+  const double committed = tenant_spend_now(tenant);
   const double projected = committed + tenant.projected_usd + estimate;
   if (projected > tenant.cfg.budget_usd + kBudgetEps) {
     ++stats_.rejected_budget;
@@ -198,10 +198,8 @@ Expected<JobId> ClusterManager::submit(JobSpec spec) {
   if (spec.name.empty()) spec.name = job_label(id);
   rec.spec = std::move(spec);
   rec.submit_h = now_h_;
-  tenant.queued_ranks += rec.spec.ranks;
   tenant.projected_usd += estimate;
-  jobs_.emplace(id, std::move(rec));
-  queue_.push_back(id);
+  enqueue(jobs_.emplace(id, std::move(rec)).first->second, tenant);
   ++stats_.admitted;
   prof::counter("sched.admitted").add();
   schedule_pass();
@@ -254,12 +252,9 @@ void ClusterManager::take_down_node(int idx) {
 }
 
 void ClusterManager::autoscale_up() {
-  int demand = 0;
-  for (const auto& [id, run] : running_)
-    demand += static_cast<int>(run.nodes.size());
-  for (JobId id : queue_) demand += jobs_.at(id).spec.ranks;
   const int target =
-      std::clamp(demand, config_.min_nodes, config_.max_nodes);
+      std::clamp(queued_ranks_total_ + running_ranks_total_,
+                 config_.min_nodes, config_.max_nodes);
   int up = 0;
   for (const Node& n : nodes_) up += n.up ? 1 : 0;
   // Cheap capacity first: held spot slots, then on-demand.
@@ -283,9 +278,23 @@ double ClusterManager::remaining_h(const JobRecord& rec) const {
   return rem;
 }
 
-void ClusterManager::place_job(JobRecord& rec, const std::vector<int>& nodes) {
+void ClusterManager::enqueue(JobRecord& rec, Tenant& tenant) {
+  shift_ranks(tenant, rec.spec.ranks, 0);
+  queue_.push_back(Queued{&rec, &tenant});
+}
+
+void ClusterManager::shift_ranks(Tenant& tenant, int queued, int running) {
+  tenant.queued_ranks += queued;
+  tenant.running_ranks += running;
+  queued_ranks_total_ += queued;
+  running_ranks_total_ += running;
+}
+
+void ClusterManager::place_job(const Queued& q, const std::vector<int>& nodes) {
+  JobRecord& rec = *q.rec;
   Running run;
-  run.id = rec.id;
+  run.rec = q.rec;
+  run.tenant = q.tenant;
   run.nodes = nodes;
   run.start_h = now_h_;
   run.finish_h = now_h_ + remaining_h(rec);
@@ -304,13 +313,12 @@ void ClusterManager::place_job(JobRecord& rec, const std::vector<int>& nodes) {
   run.lease_id =
       "lease-" + std::to_string(rec.id) + "-" + std::to_string(rec.restarts);
   rec.state = JobState::kRunning;
-  Tenant& tenant = tenants_.at(rec.spec.tenant);
-  tenant.queued_ranks -= rec.spec.ranks;
-  tenant.running_ranks += rec.spec.ranks;
+  shift_ranks(*q.tenant, -rec.spec.ranks, rec.spec.ranks);
   running_.emplace(rec.id, std::move(run));
 }
 
 void ClusterManager::schedule_pass() {
+  ++pass_;
   autoscale_up();
   if (queue_.empty()) return;
 
@@ -325,26 +333,29 @@ void ClusterManager::schedule_pass() {
 
   // Queue order: effective class (priority minus aging), then fair-share
   // score, then FIFO.  Only the best backfill_window candidates are
-  // considered per pass, keeping passes O(Q) at semester scale.
+  // considered per pass, keeping passes O(Q) at semester scale.  A tenant's
+  // share score is computed once per pass and cached in the Tenant.
   struct Cand {
-    JobId id{0};
+    Queued q;
     double cls{0.0};
     double share{0.0};
     double submit{0.0};
   };
-  std::map<std::string, double> share_cache;
   std::vector<Cand> cands;
   cands.reserve(queue_.size());
   const double aging_h = std::max(config_.fair_share.aging_h, 1e-6);
-  for (JobId id : queue_) {
-    const JobRecord& rec = jobs_.at(id);
-    auto [sit, inserted] = share_cache.try_emplace(rec.spec.tenant, 0.0);
-    if (inserted) sit->second = fair_.share_score(rec.spec.tenant, now_h_);
+  for (const Queued& q : queue_) {
+    const JobRecord& rec = *q.rec;
+    Tenant& tenant = *q.tenant;
+    if (tenant.share_pass != pass_) {
+      tenant.share_pass = pass_;
+      tenant.share = fair_.share_score(tenant.share_slot, now_h_);
+    }
     Cand c;
-    c.id = id;
+    c.q = q;
     c.cls = std::max(0.0, static_cast<double>(rec.spec.priority) -
                               (now_h_ - rec.submit_h) / aging_h);
-    c.share = sit->second;
+    c.share = tenant.share;
     c.submit = rec.submit_h;
     cands.push_back(c);
   }
@@ -352,7 +363,7 @@ void ClusterManager::schedule_pass() {
     if (a.cls != b.cls) return a.cls < b.cls;
     if (a.share != b.share) return a.share < b.share;
     if (a.submit != b.submit) return a.submit < b.submit;
-    return a.id < b.id;
+    return a.q.rec->id < b.q.rec->id;
   };
   const std::size_t window = std::min(
       cands.size(), static_cast<std::size_t>(
@@ -384,9 +395,9 @@ void ClusterManager::schedule_pass() {
   bool head_blocked = false;
   double shadow = kInf;
   std::size_t extra = 0;
-  std::vector<JobId> placed;
+  bool placed = false;
   for (std::size_t ci = 0; ci < window; ++ci) {
-    JobRecord& rec = jobs_.at(cands[ci].id);
+    JobRecord& rec = *cands[ci].q.rec;
     const auto ranks = static_cast<std::size_t>(rec.spec.ranks);
     if (!head_blocked) {
       if (ranks > idle) {
@@ -421,24 +432,27 @@ void ClusterManager::schedule_pass() {
       prof::counter("sched.backfills").add();
     }
     const bool prefer_spot = rec.spec.ranks == 1;  // gangs avoid spot churn
-    place_job(rec, take_nodes(rec.spec.ranks, prefer_spot));
+    place_job(cands[ci].q, take_nodes(rec.spec.ranks, prefer_spot));
     idle -= ranks;
-    placed.push_back(rec.id);
+    placed = true;
     if (idle == 0 && !head_blocked) break;
   }
 
-  if (!placed.empty()) {
-    auto is_placed = [&](JobId id) {
-      return std::find(placed.begin(), placed.end(), id) != placed.end();
-    };
-    queue_.erase(std::remove_if(queue_.begin(), queue_.end(), is_placed),
-                 queue_.end());
-  }
+  if (placed) drop_unqueued();
+}
+
+void ClusterManager::drop_unqueued() {
+  queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
+                              [](const Queued& q) {
+                                return q.rec->state != JobState::kQueued;
+                              }),
+               queue_.end());
 }
 
 // --- billing -------------------------------------------------------------
 
-void ClusterManager::release_lease(const JobRecord& rec, const Running& run) {
+void ClusterManager::release_lease(const Running& run) {
+  JobRecord& rec = *run.rec;
   const double hours = now_h_ - run.start_h;
   if (hours <= 1e-12) return;
   double spot_nodes = 0.0, od_nodes = 0.0;
@@ -461,17 +475,27 @@ void ClusterManager::release_lease(const JobRecord& rec, const Running& run) {
     lr.spot = is_spot;
     billed += lr.cost_usd;
     gpu_hours += lr.gpu_hours;
-    ledger_.add(std::move(lr));
+    run.tenant->billed = &ledger_.add(std::move(lr));
   }
-  jobs_.at(rec.id).billed_usd += billed;
-  fair_.charge(rec.spec.tenant, gpu_hours, now_h_);
+  rec.billed_usd += billed;
+  fair_.charge(run.tenant->share_slot, gpu_hours, now_h_);
 }
 
-void ClusterManager::finalize(JobRecord& rec, JobState state, Status status) {
+void ClusterManager::free_nodes(const Running& run) {
+  for (int n : run.nodes) {
+    Node& node = nodes_[static_cast<std::size_t>(n)];
+    if (node.up && node.job == run.rec->id) {
+      node.job = 0;
+      node.idle_since_h = now_h_;
+    }
+  }
+}
+
+void ClusterManager::finalize(JobRecord& rec, Tenant& tenant, JobState state,
+                              Status status) {
   rec.state = state;
   rec.final_status = std::move(status);
   rec.end_h = now_h_;
-  Tenant& tenant = tenants_.at(rec.spec.tenant);
   tenant.projected_usd = std::max(
       0.0, tenant.projected_usd -
                config_.admission_margin * cost_estimate_usd(rec.spec));
@@ -521,46 +545,34 @@ Expected<double> ClusterManager::run_payload(JobRecord& rec,
   }
 }
 
-void ClusterManager::complete_job(JobRecord& rec, Running run) {
+void ClusterManager::complete_job(Running run) {
+  JobRecord& rec = *run.rec;
+  Tenant& tenant = *run.tenant;
   Expected<double> outcome{0.0};
   if (rec.spec.work) outcome = run_payload(rec, run);
-  release_lease(rec, run);
-  for (int n : run.nodes) {
-    Node& node = nodes_[static_cast<std::size_t>(n)];
-    if (node.up && node.job == rec.id) {
-      node.job = 0;
-      node.idle_since_h = now_h_;
-    }
-  }
-  Tenant& tenant = tenants_.at(rec.spec.tenant);
-  tenant.running_ranks -= rec.spec.ranks;
+  release_lease(run);
+  free_nodes(run);
+  shift_ranks(tenant, 0, -rec.spec.ranks);
   if (outcome) {
     rec.done_h = rec.spec.service_h;
     rec.payload_result = *outcome;
-    finalize(rec, JobState::kCompleted, Status{});
+    finalize(rec, tenant, JobState::kCompleted, Status{});
   } else if (outcome.status().retryable() &&
              rec.restarts + 1 < rec.spec.max_attempts) {
     // Restart path: the payload failed retryably (e.g. a mid-training
     // preemption); the next attempt resumes from its checkpoint_dir.
     rec.done_h = 0.0;
     rec.state = JobState::kQueued;
-    tenant.queued_ranks += rec.spec.ranks;
-    queue_.push_back(rec.id);
+    enqueue(rec, tenant);
   } else {
-    finalize(rec, JobState::kFailed, outcome.status());
+    finalize(rec, tenant, JobState::kFailed, outcome.status());
   }
 }
 
-void ClusterManager::preempt_job(JobRecord& rec, Running run, int lost_node) {
-  release_lease(rec, run);
-  for (int n : run.nodes) {
-    if (n == lost_node) continue;
-    Node& node = nodes_[static_cast<std::size_t>(n)];
-    if (node.up && node.job == rec.id) {
-      node.job = 0;
-      node.idle_since_h = now_h_;
-    }
-  }
+void ClusterManager::preempt_job(Running run) {
+  JobRecord& rec = *run.rec;
+  release_lease(run);
+  free_nodes(run);  // the reclaimed node is already down
   // Progress survives only at checkpoint granularity.
   const double q = config_.checkpoint_quantum_h;
   const double ran = now_h_ - run.start_h;
@@ -570,10 +582,8 @@ void ClusterManager::preempt_job(JobRecord& rec, Running run, int lost_node) {
   ++stats_.preemptions;
   prof::counter("sched.preemptions").add();
   rec.state = JobState::kQueued;
-  Tenant& tenant = tenants_.at(rec.spec.tenant);
-  tenant.running_ranks -= rec.spec.ranks;
-  tenant.queued_ranks += rec.spec.ranks;
-  queue_.push_back(rec.id);
+  shift_ranks(*run.tenant, 0, -rec.spec.ranks);
+  enqueue(rec, *run.tenant);
 }
 
 // --- event loop ----------------------------------------------------------
@@ -614,7 +624,7 @@ void ClusterManager::handle_spot(const cloud::SpotEvent& ev) {
   if (rit == running_.end()) return;
   Running run = std::move(rit->second);
   running_.erase(rit);
-  preempt_job(jobs_.at(victim), std::move(run), ev.slot);
+  preempt_job(std::move(run));
 }
 
 double ClusterManager::earliest_completion() const {
@@ -623,22 +633,32 @@ double ClusterManager::earliest_completion() const {
   return best;
 }
 
-double ClusterManager::earliest_budget_cutoff() const {
-  std::map<std::string, std::pair<double, double>> by_tenant;  // rate, accrued
+const std::vector<ClusterManager::Tenant*>& ClusterManager::accrue_running() {
+  ++accrual_;
+  accruing_.clear();
   for (const auto& [id, run] : running_) {
-    const JobRecord& rec = jobs_.at(id);
-    auto& [rate, accrued] = by_tenant[rec.spec.tenant];
-    rate += run.rate_usd;
-    accrued += (now_h_ - run.start_h) * run.rate_usd;
+    Tenant& tenant = *run.tenant;
+    if (tenant.accrual_pass != accrual_) {
+      tenant.accrual_pass = accrual_;
+      tenant.accrual_rate = 0.0;
+      tenant.accrued_usd = 0.0;
+      accruing_.push_back(&tenant);
+    }
+    tenant.accrual_rate += run.rate_usd;
+    tenant.accrued_usd += (now_h_ - run.start_h) * run.rate_usd;
   }
+  return accruing_;
+}
+
+double ClusterManager::earliest_budget_cutoff() {
+  // The minimum over tenants does not depend on the order they are visited.
   double best = kInf;
-  for (const auto& [tenant, ra] : by_tenant) {
-    const auto& [rate, accrued] = ra;
-    if (rate <= 0.0) continue;
-    const double cap = tenants_.at(tenant).cfg.budget_usd;
-    const double spend = ledger_.spend(tenant) + accrued;
+  for (const Tenant* tenant : accrue_running()) {
+    if (tenant->accrual_rate <= 0.0) continue;
+    const double cap = tenant->cfg.budget_usd;
+    const double spend = tenant->billed_usd() + tenant->accrued_usd;
     if (spend >= cap - kBudgetEps) return now_h_;
-    best = std::min(best, now_h_ + (cap - spend) / rate);
+    best = std::min(best, now_h_ + (cap - spend) / tenant->accrual_rate);
   }
   return best;
 }
@@ -656,69 +676,57 @@ double ClusterManager::earliest_idle_expiry() const {
 }
 
 bool ClusterManager::complete_due() {
-  std::vector<JobId> due;
-  for (const auto& [id, run] : running_)
-    if (run.finish_h <= now_h_ + kEps) due.push_back(id);
-  for (JobId id : due) {
-    auto rit = running_.find(id);
-    Running run = std::move(rit->second);
-    running_.erase(rit);
-    complete_job(jobs_.at(id), std::move(run));
+  bool any = false;
+  for (auto it = running_.begin(); it != running_.end();) {
+    if (it->second.finish_h > now_h_ + kEps) {
+      ++it;
+      continue;
+    }
+    Running run = std::move(it->second);
+    it = running_.erase(it);
+    complete_job(std::move(run));
+    any = true;
   }
-  return !due.empty();
+  return any;
 }
 
 bool ClusterManager::enforce_budgets() {
-  std::map<std::string, double> accrued;
-  for (const auto& [id, run] : running_)
-    accrued[jobs_.at(id).spec.tenant] += (now_h_ - run.start_h) * run.rate_usd;
-  std::vector<std::string> over;
-  for (const auto& [tenant, extra] : accrued) {
-    const double cap = tenants_.at(tenant).cfg.budget_usd;
-    if (ledger_.spend(tenant) + extra >= cap - kBudgetEps)
+  std::vector<Tenant*> over;
+  for (Tenant* tenant : accrue_running())
+    if (tenant->billed_usd() + tenant->accrued_usd >=
+        tenant->cfg.budget_usd - kBudgetEps)
       over.push_back(tenant);
-  }
   if (over.empty()) return false;
-  for (const std::string& tenant : over) {
+  // Cut tenants in id order, so ledger and kill records keep one order.
+  std::sort(over.begin(), over.end(), [](const Tenant* a, const Tenant* b) {
+    return a->cfg.id < b->cfg.id;
+  });
+  for (Tenant* tenant : over) {
     char msg[128];
     std::snprintf(msg, sizeof(msg), "budget cap of $%.2f exhausted",
-                  tenants_.at(tenant).cfg.budget_usd);
+                  tenant->cfg.budget_usd);
     const Status cut = Status::resource_exhausted(msg);
     // Stop the bleed: kill the tenant's running jobs (billing up to now)...
-    std::vector<JobId> victims;
-    for (const auto& [id, run] : running_)
-      if (jobs_.at(id).spec.tenant == tenant) victims.push_back(id);
-    for (JobId id : victims) {
-      auto rit = running_.find(id);
-      Running run = std::move(rit->second);
-      running_.erase(rit);
-      JobRecord& rec = jobs_.at(id);
-      release_lease(rec, run);
-      for (int n : run.nodes) {
-        Node& node = nodes_[static_cast<std::size_t>(n)];
-        if (node.up && node.job == id) {
-          node.job = 0;
-          node.idle_since_h = now_h_;
-        }
+    for (auto it = running_.begin(); it != running_.end();) {
+      if (it->second.tenant != tenant) {
+        ++it;
+        continue;
       }
-      tenants_.at(tenant).running_ranks -= rec.spec.ranks;
-      finalize(rec, JobState::kKilled, cut);
+      Running run = std::move(it->second);
+      it = running_.erase(it);
+      release_lease(run);
+      free_nodes(run);
+      shift_ranks(*tenant, 0, -run.rec->spec.ranks);
+      finalize(*run.rec, *tenant, JobState::kKilled, cut);
     }
     // ...and fail its queued jobs instead of letting them sit forever.
-    std::vector<JobId> queued;
-    for (JobId id : queue_)
-      if (jobs_.at(id).spec.tenant == tenant) queued.push_back(id);
-    for (JobId id : queued) {
-      JobRecord& rec = jobs_.at(id);
-      tenants_.at(tenant).queued_ranks -= rec.spec.ranks;
-      finalize(rec, JobState::kKilled, cut);
+    for (const Queued& q : queue_) {
+      if (q.tenant != tenant) continue;
+      shift_ranks(*tenant, -q.rec->spec.ranks, 0);
+      finalize(*q.rec, *tenant, JobState::kKilled, cut);
     }
-    auto is_dead = [&](JobId id) {
-      return std::find(queued.begin(), queued.end(), id) != queued.end();
-    };
-    queue_.erase(std::remove_if(queue_.begin(), queue_.end(), is_dead),
-                 queue_.end());
   }
+  drop_unqueued();
   return true;
 }
 

@@ -177,11 +177,23 @@ class ClusterManager {
  private:
   struct Tenant {
     TenantConfig cfg;  ///< role engaged, budget resolved
+    FairShare::Slot share_slot{0};
+    /// This tenant's ledger row once it has been billed (rows never move).
+    const cloud::TenantSpendRow* billed{nullptr};
     int queued_ranks{0};
     int running_ranks{0};
     /// Margin-inflated cost estimate of every non-terminal job, tested at
     /// admission against budget - committed spend.
     double projected_usd{0.0};
+
+    // Per-pass scratch, valid while its stamp equals the manager's counter.
+    std::uint64_t share_pass{0};  ///< schedule_pass() that cached share
+    double share{0.0};
+    std::uint64_t accrual_pass{0};  ///< accrue_running() that filled these
+    double accrual_rate{0.0};       ///< summed rate of running leases, $/h
+    double accrued_usd{0.0};        ///< their unbilled spend so far
+
+    double billed_usd() const { return billed ? billed->total_usd() : 0.0; }
   };
 
   /// One fleet slot.  Indices [0, spot_nodes) are spot slots (index ==
@@ -194,8 +206,16 @@ class ClusterManager {
     double rate_usd{0.0};
   };
 
+  /// A queue entry.  JobRecords and Tenants live in std::map nodes, which
+  /// never move, so the pointers stay valid for the manager's life.
+  struct Queued {
+    JobRecord* rec{nullptr};
+    Tenant* tenant{nullptr};
+  };
+
   struct Running {
-    JobId id{0};
+    JobRecord* rec{nullptr};
+    Tenant* tenant{nullptr};
     std::vector<int> nodes;  ///< gang node indices
     std::string lease_id;    ///< "lease-<job>-<attempt>"
     double start_h{0.0};
@@ -209,7 +229,7 @@ class ClusterManager {
   void pump_spot(double to_h);
   void handle_spot(const cloud::SpotEvent& ev);
   double earliest_completion() const;
-  double earliest_budget_cutoff() const;
+  double earliest_budget_cutoff();
   double earliest_idle_expiry() const;
   bool complete_due();
   bool enforce_budgets();
@@ -221,20 +241,30 @@ class ClusterManager {
   bool node_launchable(int idx) const;
   void bring_up_node(int idx);
   void take_down_node(int idx);
-  void place_job(JobRecord& rec, const std::vector<int>& nodes);
+  void place_job(const Queued& q, const std::vector<int>& nodes);
   double remaining_h(const JobRecord& rec) const;
+  void enqueue(JobRecord& rec, Tenant& tenant);
+  /// Erases queue entries whose job left kQueued (placed or killed).
+  void drop_unqueued();
+  /// Adds @p queued and @p running ranks (either may be negative) to the
+  /// tenant's demand and to the fleet-wide totals, keeping them in step.
+  void shift_ranks(Tenant& tenant, int queued, int running);
 
   // Lifecycle.
-  void complete_job(JobRecord& rec, Running run);
-  void preempt_job(JobRecord& rec, Running run, int lost_node);
-  void release_lease(const JobRecord& rec, const Running& run);
-  void finalize(JobRecord& rec, JobState state, Status status);
+  void complete_job(Running run);
+  void preempt_job(Running run);
+  void release_lease(const Running& run);
+  void free_nodes(const Running& run);
+  void finalize(JobRecord& rec, Tenant& tenant, JobState state, Status status);
   Expected<double> run_payload(JobRecord& rec, const Running& run);
 
   // Billing / quota helpers.
   double cost_estimate_usd(const JobSpec& spec) const;
-  double tenant_spend_now(const std::string& tenant) const;
+  double tenant_spend_now(const Tenant& tenant) const;
   double suggested_retry_locked(const std::string& tenant) const;
+  /// Fills accrual_rate/accrued_usd of every tenant with a running lease,
+  /// summing in running_ (JobId) order, and returns those tenants.
+  const std::vector<Tenant*>& accrue_running();
 
   ManagerConfig config_;
   double ondemand_rate_{0.0};
@@ -254,7 +284,13 @@ class ClusterManager {
   std::map<std::string, Tenant> tenants_;
   std::map<JobId, JobRecord> jobs_;
   std::map<JobId, Running> running_;
-  std::vector<JobId> queue_;
+  std::vector<Queued> queue_;
+  /// Fleet demand: ranks of every queued / running job.
+  int queued_ranks_total_{0};
+  int running_ranks_total_{0};
+  std::uint64_t pass_{0};     ///< schedule_pass() counter (Tenant::share_pass)
+  std::uint64_t accrual_{0};  ///< accrue_running() counter
+  std::vector<Tenant*> accruing_;  ///< accrue_running() result
   FairShare fair_;
   cloud::TenantLedger ledger_;
   ManagerStats stats_;

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 
 #include "gpusim/device_manager.hpp"
 #include "gpusim/occupancy.hpp"
@@ -423,15 +424,29 @@ TEST(Executor, PropagatesExceptions) {
 
 TEST(Executor, AbortsRemainingChunksAfterError) {
   gpu::Executor exec(2);
-  // i == 0 lives in the first claimed chunk and throws immediately.  With
+  // The pool worker's helper task throws on the first index it runs.  With
   // abort-on-error only chunks already mid-body keep running; the rest are
   // drained without invoking fn, so far fewer than half the indices run.
+  // Indices on the calling thread count only once that helper task has
+  // finished, i.e. after the failure is published and the worker has
+  // claimed every chunk left, so no thread timing can move the count: the
+  // caller runs at most the one chunk it held, and without the abort the
+  // worker would run the rest.
+  sagesim::runtime::Scheduler& pool = exec.scheduler();
+  const std::size_t tasks_before = pool.tasks_completed();
+  std::atomic<bool> thrown{false};
   std::atomic<std::uint64_t> ran{0};
   const std::uint64_t n = 10000;
   EXPECT_THROW(exec.parallel_for(n,
-                                 [&](std::uint64_t i) {
-                                   if (i == 0)
-                                     throw std::runtime_error("poison");
+                                 [&](std::uint64_t) {
+                                   if (pool.current_worker() >= 0) {
+                                     if (!thrown.exchange(true))
+                                       throw std::runtime_error("poison");
+                                   } else {
+                                     while (pool.tasks_completed() ==
+                                            tasks_before)
+                                       std::this_thread::yield();
+                                   }
                                    ran.fetch_add(1);
                                  }),
                std::runtime_error);

@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cloudsim/cost.hpp"
@@ -260,6 +261,23 @@ TEST(Admission, BudgetProjectionRejectsBeforeOverrun) {
   EXPECT_LE(mgr.tenant_ledger().spend("bob"), 6.0 * rate + 1e-6);
 }
 
+TEST(Admission, SuggestedRetryFloorsForIdleAndUnknownTenants) {
+  sched::ClusterManager mgr(fleet(1));
+  mgr.register_tenant(unlimited("busy"));
+  mgr.register_tenant(unlimited("idle"));
+  // Nothing running anywhere: every tenant gets the 0.25h floor, and a
+  // tenant the manager has never seen gets it too instead of a throw.
+  EXPECT_DOUBLE_EQ(mgr.suggested_retry_h("nobody"), 0.25);
+  EXPECT_DOUBLE_EQ(mgr.suggested_retry_h("idle"), 0.25);
+
+  ASSERT_TRUE(mgr.submit(synthetic("busy", 1, 2.0)));
+  mgr.advance_to(0.5);
+  // Only the owner's running job shortens the hint.
+  EXPECT_DOUBLE_EQ(mgr.suggested_retry_h("busy"), 1.5);
+  EXPECT_DOUBLE_EQ(mgr.suggested_retry_h("idle"), 0.25);
+  EXPECT_DOUBLE_EQ(mgr.suggested_retry_h("nobody"), 0.25);
+}
+
 // --- fair share across tenants ------------------------------------------
 
 TEST(FairShareScheduling, AlternatesTenantsInsteadOfFifo) {
@@ -306,6 +324,33 @@ TEST(FairShareScheduling, WeightsTiltTheSplit) {
   for (int i = 0; i < 6; ++i)
     grad_early += recs[static_cast<std::size_t>(i)].spec.tenant == "grad";
   EXPECT_EQ(grad_early, 4);
+}
+
+TEST(FairShareScheduling, HalfLifeComesFromTheManagerConfig) {
+  // "a" burns 2 GPU-hours (ends t=2), "b" 1 GPU-hour (ends t=3); at t=3 one
+  // job of each waits.  Under the 24h default a's usage barely decays and
+  // b goes first; with a 0.1h half-life a's usage is gone and a goes first.
+  auto second_round = [](double half_life_h) {
+    sched::ManagerConfig cfg = fleet(1);
+    cfg.fair_share.half_life_h = half_life_h;
+    sched::ClusterManager mgr(cfg);
+    mgr.register_tenant(unlimited("a"));
+    mgr.register_tenant(unlimited("b"));
+    EXPECT_TRUE(mgr.submit(synthetic("a", 1, 2.0)));
+    EXPECT_TRUE(mgr.submit(synthetic("b", 1, 1.0)));
+    mgr.advance_to(2.5);
+    const sched::JobId a2 = *mgr.submit(synthetic("a", 1, 1.0));
+    const sched::JobId b2 = *mgr.submit(synthetic("b", 1, 1.0));
+    EXPECT_TRUE(mgr.drain());
+    return std::make_pair(mgr.job(a2).first_start_h,
+                          mgr.job(b2).first_start_h);
+  };
+  const auto [a_slow, b_slow] = second_round(24.0);
+  EXPECT_NEAR(b_slow, 3.0, 1e-9);
+  EXPECT_NEAR(a_slow, 4.0, 1e-9);
+  const auto [a_fast, b_fast] = second_round(0.1);
+  EXPECT_NEAR(a_fast, 3.0, 1e-9);
+  EXPECT_NEAR(b_fast, 4.0, 1e-9);
 }
 
 // --- gang scheduling + backfill -----------------------------------------
@@ -382,6 +427,56 @@ TEST(BudgetCap, MidJobCutoffUnderRepeatedSpotPreemption) {
   EXPECT_NEAR(ledger.spend("spender"), cap, 0.05);
   // Everything billed was spot capacity, at the discounted rate.
   for (const auto& lease : ledger.records()) EXPECT_TRUE(lease.spot);
+}
+
+TEST(BudgetCap, SimultaneousCrossingsCutTenantsInIdOrder) {
+  sched::ManagerConfig cfg = fleet(2);
+  cfg.admission_margin = 0.5;  // lets a 4h job in under a 3h budget
+  sched::ClusterManager mgr(cfg);
+  const double rate = cloud::catalog::by_name(cfg.node_type).hourly_usd;
+  const double cap = 3.0 * rate;
+  // Registered and submitted "zed" first, so JobId order and tenant-id
+  // order disagree.
+  mgr.register_tenant(unlimited("zed", 1.0, cap));
+  mgr.register_tenant(unlimited("amy", 1.0, cap));
+  const sched::JobId zed_run = *mgr.submit(synthetic("zed", 1, 4.0));
+  const sched::JobId amy_run = *mgr.submit(synthetic("amy", 1, 4.0));
+  const sched::JobId zed_wait = *mgr.submit(synthetic("zed", 1, 1.0));
+  const sched::JobId amy_wait = *mgr.submit(synthetic("amy", 1, 1.0));
+  EXPECT_EQ(mgr.running_count(), 2u);
+  EXPECT_EQ(mgr.queued_count(), 2u);
+
+  mgr.advance_to(5.0);
+
+  // Both tenants hit their caps at t=3h, in the same advance.
+  for (sched::JobId id : {zed_run, amy_run}) {
+    const sched::JobRecord rec = mgr.job(id);
+    EXPECT_EQ(rec.state, sched::JobState::kKilled);
+    EXPECT_EQ(rec.final_status.code(), ErrorCode::kResourceExhausted);
+    EXPECT_NEAR(rec.end_h, 3.0, 1e-9);
+  }
+  // Their queued jobs are failed at the cut, never having started.
+  for (sched::JobId id : {zed_wait, amy_wait}) {
+    const sched::JobRecord rec = mgr.job(id);
+    EXPECT_EQ(rec.state, sched::JobState::kKilled);
+    EXPECT_EQ(rec.final_status.code(), ErrorCode::kResourceExhausted);
+    EXPECT_LT(rec.first_start_h, 0.0);
+    EXPECT_NEAR(rec.end_h, 3.0, 1e-9);
+  }
+  // Tenants are cut in id order, so "amy"'s lease is billed first.
+  const cloud::TenantLedger ledger = mgr.tenant_ledger();
+  ASSERT_EQ(ledger.records().size(), 2u);
+  EXPECT_EQ(ledger.records()[0].tenant, "amy");
+  EXPECT_EQ(ledger.records()[0].job_id, "job-" + std::to_string(amy_run));
+  EXPECT_EQ(ledger.records()[1].tenant, "zed");
+  for (const char* t : {"amy", "zed"}) {
+    EXPECT_LE(ledger.spend(t), cap + 1e-6);
+    EXPECT_NEAR(ledger.spend(t), cap, 1e-6);
+  }
+  EXPECT_EQ(mgr.stats().killed, 4u);
+  EXPECT_EQ(mgr.queued_count(), 0u);
+  EXPECT_EQ(mgr.running_count(), 0u);
+  EXPECT_EQ(mgr.nodes_busy(), 0);
 }
 
 // --- starvation freedom --------------------------------------------------
@@ -606,6 +701,112 @@ TEST(Autoscale, GrowsForDemandAndReleasesIdleNodes) {
   EXPECT_EQ(report.completed, 8u);
   EXPECT_DOUBLE_EQ(report.total_usd, mgr.tenant_ledger().total_usd());
   EXPECT_FALSE(sched::to_text(report).empty());
+}
+
+// --- requeue paths keep fleet demand exact --------------------------------
+
+TEST(Requeue, SpotPreemptedGangScalesTheFleetBackToItsDemand) {
+  sched::ManagerConfig cfg;
+  cfg.min_nodes = 0;
+  cfg.max_nodes = 3;
+  cfg.spot_nodes = 1;  // node 0 is spot, nodes 1-2 on-demand
+  // One price spike at t=10h: notice at 10, reclaim at 10.05, capacity
+  // back at 10.6.
+  cfg.spot.trace = cloud::synthetic_price_trace(20.0, 0.1, 10.0, 1, 0.5);
+  cfg.checkpoint_quantum_h = 0.25;
+  cfg.restart_overhead_h = 0.05;
+  cfg.idle_scale_down_h = 0.25;
+  cfg.fair_share.aging_h = 1e6;
+  sched::ClusterManager mgr(cfg);
+  mgr.register_tenant(unlimited("lab"));
+  mgr.register_tenant(unlimited("late"));
+  EXPECT_EQ(mgr.nodes_up(), 0);
+
+  // Spot capacity comes up first, so the gang spans spot node 0 and
+  // on-demand node 1.
+  const sched::JobId gang = *mgr.submit(synthetic("lab", 2, 20.0));
+  EXPECT_EQ(mgr.nodes_up(), 2);
+  EXPECT_EQ(mgr.nodes_busy(), 2);
+
+  // The reclaim tears the gang down and requeues it; the spot slot cannot
+  // be relaunched, so the fleet brings up on-demand node 2 for the gang's
+  // two ranks and the gang restarts at once.
+  mgr.advance_to(10.2);
+  sched::JobRecord rec = mgr.job(gang);
+  EXPECT_EQ(rec.preemptions, 1);
+  EXPECT_EQ(rec.restarts, 1);
+  EXPECT_EQ(rec.state, sched::JobState::kRunning);
+  EXPECT_EQ(mgr.nodes_up(), 2);
+  EXPECT_EQ(mgr.nodes_busy(), 2);
+  EXPECT_EQ(mgr.queued_count(), 0u);
+  EXPECT_EQ(mgr.stats().launches, 3u);
+  EXPECT_EQ(mgr.stats().peak_nodes, 2);
+
+  ASSERT_TRUE(mgr.drain());
+  rec = mgr.job(gang);
+  EXPECT_EQ(rec.state, sched::JobState::kCompleted);
+  // 10h kept at the quarter-hour checkpoint, 10h left plus the reload.
+  EXPECT_NEAR(rec.end_h, 10.05 + 10.0 + 0.05, 1e-9);
+
+  // With the queue empty the fleet drains to its zero floor, and a single
+  // rank of new demand brings up exactly one node: the requeue left no
+  // stale ranks in the fleet's demand.
+  mgr.advance_to(mgr.now_h() + 1.0);
+  EXPECT_EQ(mgr.nodes_up(), 0);
+  ASSERT_TRUE(mgr.submit(synthetic("late", 1, 0.5)));
+  EXPECT_EQ(mgr.nodes_up(), 1);
+  ASSERT_TRUE(mgr.drain());
+  EXPECT_EQ(mgr.stats().completed, 2u);
+}
+
+TEST(Requeue, RetriedPayloadKeepsFleetDemandExact) {
+  sched::ManagerConfig cfg;
+  cfg.min_nodes = 0;
+  cfg.max_nodes = 4;
+  cfg.idle_scale_down_h = 0.25;
+  cfg.restart_overhead_h = 0.05;
+  cfg.fair_share.aging_h = 1e6;
+  sched::ClusterManager mgr(cfg);
+  mgr.register_tenant(unlimited("flaky"));
+  mgr.register_tenant(unlimited("late"));
+
+  int attempts = 0;
+  sched::JobSpec spec = synthetic("flaky", 2, 1.0);
+  spec.max_attempts = 3;
+  spec.work = [&attempts](sched::JobContext& ctx) -> Expected<double> {
+    ++attempts;
+    if (ctx.attempt == 0) return Status::preempted("transient failure");
+    return 1.0;
+  };
+  const sched::JobId id = *mgr.submit(std::move(spec));
+  EXPECT_EQ(mgr.nodes_up(), 2);
+
+  // The first attempt fails retryably at t=1h; the job re-enters the queue
+  // and is placed again on its two nodes in the same pass.
+  mgr.advance_to(1.5);
+  sched::JobRecord rec = mgr.job(id);
+  EXPECT_EQ(attempts, 1);
+  EXPECT_EQ(rec.restarts, 1);
+  EXPECT_EQ(rec.state, sched::JobState::kRunning);
+  EXPECT_EQ(mgr.nodes_up(), 2);
+  EXPECT_EQ(mgr.nodes_busy(), 2);
+  EXPECT_EQ(mgr.queued_count(), 0u);
+
+  ASSERT_TRUE(mgr.drain());
+  rec = mgr.job(id);
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(rec.state, sched::JobState::kCompleted);
+  EXPECT_NEAR(rec.end_h, 1.0 + 1.0 + 0.05, 1e-9);  // full rerun + reload
+
+  // Idle nodes expire to the zero floor; new demand of three ranks brings
+  // up exactly three nodes.
+  mgr.advance_to(mgr.now_h() + 1.0);
+  EXPECT_EQ(mgr.nodes_up(), 0);
+  ASSERT_TRUE(mgr.submit(synthetic("late", 3, 0.5)));
+  EXPECT_EQ(mgr.nodes_up(), 3);
+  ASSERT_TRUE(mgr.drain());
+  EXPECT_EQ(mgr.stats().completed, 2u);
+  EXPECT_EQ(mgr.stats().peak_nodes, 3);
 }
 
 TEST(Telemetry, PercentileInterpolates) {
