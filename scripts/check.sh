@@ -2,11 +2,12 @@
 # Full local gate: tier-1 build + tests, the sanitizer suites, and the perf
 # smoke runs.  Everything a PR must keep green, in one command:
 #
-#   scripts/check.sh            # tier-1 + asan + tsan + perf smoke
+#   scripts/check.sh            # tier-1 + asan + ubsan + tsan + perf smoke
 #   scripts/check.sh --fast     # tier-1 only
 #
-# Build trees: build/ (tier-1), build-asan/, build-tsan/.  Sanitizer trees
-# skip bench and examples — the sanitized test binaries are the point.
+# Build trees: build/ (tier-1), build-asan/, build-ubsan/, build-tsan/.
+# Sanitizer trees skip bench and examples — the sanitized test binaries are
+# the point.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -42,6 +43,12 @@ cmake -B build-asan -S . -DSAGESIM_SANITIZE=address \
   -DSAGESIM_BUILD_BENCH=OFF -DSAGESIM_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -L asan
+
+step "ubsan: build + ubsan.* suite"
+cmake -B build-ubsan -S . -DSAGESIM_SANITIZE=undefined \
+  -DSAGESIM_BUILD_BENCH=OFF -DSAGESIM_BUILD_EXAMPLES=OFF >/dev/null
+cmake --build build-ubsan -j "$JOBS"
+ctest --test-dir build-ubsan --output-on-failure -L ubsan
 
 step "tsan: build + tsan.* suite"
 cmake -B build-tsan -S . -DSAGESIM_SANITIZE=thread \

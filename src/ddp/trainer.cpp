@@ -171,18 +171,9 @@ Status DataParallelTrainer::save_checkpoint(std::uint64_t epoch) const {
   nn::Checkpoint ckpt;
   ckpt.epoch = epoch;
   ckpt.scalars["world"] = static_cast<double>(models_.size());
-  for (std::size_t r = 0; r < models_.size(); ++r) {
-    const std::string base = "r" + std::to_string(r) + ".";
-    auto params = models_[r]->params();
-    for (std::size_t p = 0; p < params.size(); ++p)
-      ckpt.put(base + "param" + std::to_string(p), params[p]->value);
-    const auto opt_state = optimizers_[r]->state();
-    for (std::size_t s = 0; s < opt_state.size(); ++s)
-      ckpt.put(base + "opt" + std::to_string(s), opt_state[s]);
-    ckpt.scalars[base + "opt_n"] = static_cast<double>(opt_state.size());
-    ckpt.scalars[base + "opt_t"] =
-        static_cast<double>(optimizers_[r]->step_count());
-  }
+  for (std::size_t r = 0; r < models_.size(); ++r)
+    nn::put_replica_state(ckpt, "r" + std::to_string(r) + ".",
+                          models_[r]->params(), *optimizers_[r]);
   return nn::save_checkpoint(
       nn::checkpoint_path(options_.checkpoint_dir, options_.checkpoint_prefix,
                           epoch),
@@ -198,54 +189,33 @@ Expected<std::uint64_t> DataParallelTrainer::restore_latest() {
   if (!loaded) return loaded.status();
   const nn::Checkpoint& ckpt = *loaded;
 
-  const auto world_it = ckpt.scalars.find("world");
-  if (world_it == ckpt.scalars.end() ||
-      static_cast<std::size_t>(world_it->second) != models_.size())
+  const Expected<std::uint64_t> world = nn::scalar_count(ckpt, "world");
+  if (!world) return world.status();
+  if (*world != models_.size())
     return Status::failed_precondition(
         "DataParallelTrainer: checkpoint world size mismatch");
 
   for (std::size_t r = 0; r < models_.size(); ++r) {
     const std::string base = "r" + std::to_string(r) + ".";
     auto params = models_[r]->params();
+    const Status taken =
+        nn::take_replica_state(ckpt, base, params, *optimizers_[r]);
+    if (!taken.ok()) return taken;
+    // Restored values are host copies; put each back where it was saved.
     for (std::size_t p = 0; p < params.size(); ++p) {
-      const std::string name = base + "param" + std::to_string(p);
-      const auto it = ckpt.tensors.find(name);
-      if (it == ckpt.tensors.end() ||
-          !it->second.same_shape(params[p]->value))
+      const nn::TensorPlacement place =
+          ckpt.placement_of(base + "param" + std::to_string(p));
+      if (place.placement == mem::Placement::kHost) continue;
+      if (place.device < 0 ||
+          place.device >=
+              static_cast<std::int32_t>(cluster_.devices().device_count()))
         return Status::failed_precondition(
-            "DataParallelTrainer: checkpoint parameter shape mismatch");
-      params[p]->value = it->second;  // host copy; re-place below
-      const nn::TensorPlacement place = ckpt.placement_of(name);
-      if (place.placement != mem::Placement::kHost) {
-        if (place.device < 0 ||
-            place.device >=
-                static_cast<std::int32_t>(cluster_.devices().device_count()))
-          return Status::failed_precondition(
-              "DataParallelTrainer: checkpoint placement names device " +
-              std::to_string(place.device) + " not present in this cluster");
-        const Status moved = params[p]->value.to_device(
-            cluster_.devices().device(static_cast<std::size_t>(place.device)));
-        if (!moved.ok()) return moved;
-      }
+            "DataParallelTrainer: checkpoint placement names device " +
+            std::to_string(place.device) + " not present in this cluster");
+      const Status moved = params[p]->value.to_device(
+          cluster_.devices().device(static_cast<std::size_t>(place.device)));
+      if (!moved.ok()) return moved;
     }
-    const auto n_it = ckpt.scalars.find(base + "opt_n");
-    const std::size_t opt_n =
-        n_it == ckpt.scalars.end() ? 0
-                                   : static_cast<std::size_t>(n_it->second);
-    std::vector<tensor::Tensor> opt_state;
-    opt_state.reserve(opt_n);
-    for (std::size_t s = 0; s < opt_n; ++s) {
-      const auto it = ckpt.tensors.find(base + "opt" + std::to_string(s));
-      if (it == ckpt.tensors.end())
-        return Status::failed_precondition(
-            "DataParallelTrainer: checkpoint optimizer state missing");
-      opt_state.push_back(it->second);
-    }
-    optimizers_[r]->set_state(std::move(opt_state));
-    if (const auto t_it = ckpt.scalars.find(base + "opt_t");
-        t_it != ckpt.scalars.end())
-      optimizers_[r]->set_step_count(
-          static_cast<std::uint64_t>(t_it->second));
   }
   return ckpt.epoch;
 }

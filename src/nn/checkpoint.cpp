@@ -1,6 +1,7 @@
 #include "nn/checkpoint.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include "gpusim/device.hpp"
+#include "nn/layer.hpp"
+#include "nn/optim.hpp"
 
 namespace sagesim::nn {
 
@@ -118,14 +121,16 @@ bool decode_payload(const std::string& payload, std::uint32_t version,
       }
       place.placement = static_cast<mem::Placement>(raw);
     }
-    if (r.failed) break;
-    tensor::Tensor t(static_cast<std::size_t>(rows),
-                     static_cast<std::size_t>(cols));
-    const std::size_t bytes = t.size() * sizeof(float);
-    if (r.pos + bytes > payload.size()) {
+    // The element count must fit the bytes left before anything is
+    // allocated: rows * cols may overflow, or claim terabytes.
+    const std::uint64_t left = (payload.size() - r.pos) / sizeof(float);
+    if (r.failed || (cols != 0 && rows > left / cols)) {
       r.failed = true;
       break;
     }
+    tensor::Tensor t(static_cast<std::size_t>(rows),
+                     static_cast<std::size_t>(cols));
+    const std::size_t bytes = t.size() * sizeof(float);
     std::memcpy(t.data(), payload.data() + r.pos, bytes);
     r.pos += bytes;
     ckpt.placements.emplace(name, place);
@@ -269,6 +274,96 @@ Status deserialize_engine(const std::string& blob, std::mt19937_64& engine) {
   ss >> engine;
   if (ss.fail())
     return Status::data_loss("checkpoint: malformed RNG engine state");
+  return {};
+}
+
+Expected<std::uint64_t> scalar_count(const Checkpoint& ckpt,
+                                     const std::string& key) {
+  const auto it = ckpt.scalars.find(key);
+  const double v = it == ckpt.scalars.end() ? -1.0 : it->second;
+  // NaN fails both comparisons, so this rejects it too.
+  if (!(v >= 0.0 && v <= 9007199254740992.0) || v != std::floor(v))
+    return Status::failed_precondition("checkpoint: scalar " + key +
+                                       " missing or not a count");
+  return static_cast<std::uint64_t>(v);
+}
+
+void put_replica_state(Checkpoint& ckpt, const std::string& prefix,
+                       std::span<Param* const> params, const Optimizer& opt) {
+  for (std::size_t p = 0; p < params.size(); ++p)
+    ckpt.put(prefix + "param" + std::to_string(p), params[p]->value);
+  const std::vector<tensor::Tensor> state = opt.state();
+  for (std::size_t s = 0; s < state.size(); ++s)
+    ckpt.put(prefix + "opt" + std::to_string(s), state[s]);
+  ckpt.scalars[prefix + "opt_n"] = static_cast<double>(state.size());
+  ckpt.scalars[prefix + "opt_t"] = static_cast<double>(opt.step_count());
+}
+
+Status take_replica_state(const Checkpoint& ckpt, const std::string& prefix,
+                          std::span<Param* const> params, Optimizer& opt) {
+  // The stored tensor @p name, provided it has @p like's shape.
+  auto shaped = [&](const std::string& name, const tensor::Tensor& like)
+      -> Expected<tensor::Tensor> {
+    const auto it = ckpt.tensors.find(prefix + name);
+    if (it == ckpt.tensors.end() || !it->second.same_shape(like))
+      return Status::failed_precondition("checkpoint: " + prefix + name +
+                                         " missing or misshapen");
+    return it->second;
+  };
+  const Expected<std::uint64_t> n = scalar_count(ckpt, prefix + "opt_n");
+  if (!n) return n.status();
+  const Expected<std::uint64_t> t = scalar_count(ckpt, prefix + "opt_t");
+  if (!t) return t.status();
+  const std::size_t np = params.size();
+  if (*n != 0 && *n != opt.state_per_param() * np)
+    return Status::failed_precondition(
+        "checkpoint: " + prefix + "opt_n does not fit the optimizer");
+  std::vector<tensor::Tensor> values, state;
+  for (std::size_t p = 0; p < np; ++p) {
+    Expected<tensor::Tensor> v =
+        shaped("param" + std::to_string(p), params[p]->value);
+    if (!v) return v.status();
+    values.push_back(std::move(*v));
+  }
+  for (std::size_t s = 0; s < *n; ++s) {
+    Expected<tensor::Tensor> v =
+        shaped("opt" + std::to_string(s), params[s % np]->value);
+    if (!v) return v.status();
+    state.push_back(std::move(*v));
+  }
+  for (std::size_t p = 0; p < np; ++p) params[p]->value = std::move(values[p]);
+  opt.set_state(std::move(state));
+  opt.set_step_count(*t);
+  return {};
+}
+
+void put_rng(Checkpoint& ckpt, std::size_t replica,
+             const std::mt19937_64& engine) {
+  ckpt.blobs["rng" + std::to_string(replica)] = serialize_engine(engine);
+}
+
+Status take_rng(const Checkpoint& ckpt, std::size_t replica,
+                std::mt19937_64& engine) {
+  const auto it = ckpt.blobs.find("rng" + std::to_string(replica));
+  if (it == ckpt.blobs.end())
+    return Status::failed_precondition("checkpoint: RNG stream missing");
+  return deserialize_engine(it->second, engine);
+}
+
+void put_losses(Checkpoint& ckpt, const std::vector<double>& losses) {
+  for (std::size_t i = 0; i < losses.size(); ++i)
+    ckpt.scalars["loss." + std::to_string(i)] = losses[i];
+}
+
+Status take_losses(const Checkpoint& ckpt, std::vector<double>& losses) {
+  std::vector<double> history;
+  for (std::uint64_t i = 0; i < ckpt.epoch; ++i) {
+    const auto it = ckpt.scalars.find("loss." + std::to_string(i));
+    if (it == ckpt.scalars.end())
+      return Status::failed_precondition("checkpoint: loss history missing");
+    history.push_back(it->second);
+  }
+  losses = std::move(history);
   return {};
 }
 

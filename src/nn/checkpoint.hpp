@@ -20,13 +20,18 @@
 #include <cstdint>
 #include <map>
 #include <random>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "mem/buffer.hpp"
 #include "runtime/status.hpp"
 #include "tensor/tensor.hpp"
 
 namespace sagesim::nn {
+
+struct Param;
+class Optimizer;
 
 /// Where a checkpointed tensor lived at save time, so restore can put it
 /// back (format v2; v1 files load with host placement for everything).
@@ -71,5 +76,38 @@ Expected<Checkpoint> load_latest_checkpoint(const std::string& dir,
 /// mt19937_64 engine state round-trip for Checkpoint::blobs.
 std::string serialize_engine(const std::mt19937_64& engine);
 Status deserialize_engine(const std::string& blob, std::mt19937_64& engine);
+
+// --- training state: the codec every trainer checkpoints through ---------
+//
+// A replica's state sits under a key prefix ("" in the GCN trainers,
+// "r<rank>." in ddp::DataParallelTrainer): <prefix>param<i>, <prefix>opt<s>
+// in Optimizer::state() order, <prefix>opt_n and <prefix>opt_t.  The GCN
+// trainers add rng<r> blobs and loss.<i> scalars.  A loaded checkpoint is
+// outside input, so every take_* validates everything before it writes.
+
+/// Scalar @p key as an exact integer in [0, 2^53]: kFailedPrecondition when
+/// missing, non-finite, fractional or out of range, checked before any cast.
+Expected<std::uint64_t> scalar_count(const Checkpoint& ckpt,
+                                     const std::string& key);
+
+void put_replica_state(Checkpoint& ckpt, const std::string& prefix,
+                       std::span<Param* const> params, const Optimizer& opt);
+
+/// Restores @p params (as host tensors) and @p opt.  Each param<i> must
+/// have its parameter's shape, opt_n must be 0 or
+/// opt.state_per_param() * P, opt<s> must have the shape of parameter
+/// s mod P, and opt_n/opt_t must pass scalar_count; otherwise
+/// kFailedPrecondition, with nothing written.
+Status take_replica_state(const Checkpoint& ckpt, const std::string& prefix,
+                          std::span<Param* const> params, Optimizer& opt);
+
+void put_rng(Checkpoint& ckpt, std::size_t replica,
+             const std::mt19937_64& engine);
+Status take_rng(const Checkpoint& ckpt, std::size_t replica,
+                std::mt19937_64& engine);
+
+void put_losses(Checkpoint& ckpt, const std::vector<double>& losses);
+/// Reads ckpt.epoch entries; kFailedPrecondition when one is missing.
+Status take_losses(const Checkpoint& ckpt, std::vector<double>& losses);
 
 }  // namespace sagesim::nn

@@ -34,6 +34,10 @@ class Optimizer {
       throw std::invalid_argument("Optimizer::set_state: stateless optimizer");
   }
 
+  /// Tensors state() holds per parameter once initialized (0 when
+  /// stateless) — what a checkpoint restore validates a snapshot against.
+  virtual std::size_t state_per_param() const { return 0; }
+
   /// Monotonic step counter (bias correction etc.); 0 when untracked.
   virtual std::uint64_t step_count() const { return 0; }
   virtual void set_step_count(std::uint64_t /*t*/) {}
@@ -48,6 +52,9 @@ class Sgd final : public Optimizer {
   void set_lr(float lr) { lr_ = lr; }
 
   std::vector<tensor::Tensor> state() const override { return velocity_; }
+  std::size_t state_per_param() const override {
+    return momentum_ > 0.0f ? 1 : 0;
+  }
   void set_state(std::vector<tensor::Tensor> state) override {
     velocity_ = std::move(state);
   }
@@ -68,6 +75,7 @@ class Adam final : public Optimizer {
   /// m tensors followed by v tensors (even total size).
   std::vector<tensor::Tensor> state() const override;
   void set_state(std::vector<tensor::Tensor> state) override;
+  std::size_t state_per_param() const override { return 2; }
   std::uint64_t step_count() const override { return t_; }
   void set_step_count(std::uint64_t t) override { t_ = t; }
 

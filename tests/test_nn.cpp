@@ -479,57 +479,6 @@ TEST(Gcn, SameSeedGivesIdenticalReplicas) {
   for (std::size_t i = 0; i < ya.size(); ++i) ASSERT_FLOAT_EQ(ya[i], yb[i]);
 }
 
-// --- schedules & early stopping ----------------------------------------------------
-
-#include "nn/schedule.hpp"
-
-TEST(Schedule, StepDecayHalvesAtBoundaries) {
-  nn::StepDecay s(1.0f, 10, 0.5f);
-  EXPECT_FLOAT_EQ(s.lr(0), 1.0f);
-  EXPECT_FLOAT_EQ(s.lr(9), 1.0f);
-  EXPECT_FLOAT_EQ(s.lr(10), 0.5f);
-  EXPECT_FLOAT_EQ(s.lr(25), 0.25f);
-  EXPECT_THROW(nn::StepDecay(1.0f, 0, 0.5f), std::invalid_argument);
-  EXPECT_THROW(nn::StepDecay(1.0f, 5, 1.5f), std::invalid_argument);
-}
-
-TEST(Schedule, CosineAnnealsMonotonicallyToMin) {
-  nn::CosineAnnealing s(1.0f, 0.1f, 100);
-  EXPECT_NEAR(s.lr(0), 1.0f, 1e-6f);
-  EXPECT_NEAR(s.lr(50), 0.55f, 1e-3f);  // midpoint of the cosine
-  EXPECT_NEAR(s.lr(100), 0.1f, 1e-6f);
-  EXPECT_NEAR(s.lr(1000), 0.1f, 1e-6f);  // clamps after the horizon
-  for (std::size_t t = 1; t <= 100; ++t) EXPECT_LE(s.lr(t), s.lr(t - 1) + 1e-7f);
-}
-
-TEST(Schedule, WarmupRampsThenDelegates) {
-  nn::ConstantLr base(0.8f);
-  nn::Warmup w(base, 4);
-  EXPECT_FLOAT_EQ(w.lr(0), 0.2f);
-  EXPECT_FLOAT_EQ(w.lr(3), 0.8f);
-  EXPECT_FLOAT_EQ(w.lr(10), 0.8f);
-}
-
-TEST(EarlyStopping, StopsAfterPatienceWithoutImprovement) {
-  nn::EarlyStopping es(3, 0.01);
-  EXPECT_FALSE(es.observe(1.0));
-  EXPECT_FALSE(es.observe(0.8));   // improvement
-  EXPECT_FALSE(es.observe(0.799)); // < min_delta: bad 1
-  EXPECT_FALSE(es.observe(0.81));  // bad 2
-  EXPECT_TRUE(es.observe(0.85));   // bad 3 -> stop
-  EXPECT_TRUE(es.stopped());
-  EXPECT_DOUBLE_EQ(es.best(), 0.8);
-}
-
-TEST(EarlyStopping, ImprovementResetsStreak) {
-  nn::EarlyStopping es(2);
-  es.observe(1.0);
-  es.observe(1.1);       // bad 1
-  es.observe(0.9);       // improvement resets
-  es.observe(1.0);       // bad 1
-  EXPECT_FALSE(es.stopped());
-}
-
 // --- extended metrics ----------------------------------------------------------------
 
 TEST(Metrics, PerClassPrecisionRecallF1) {
