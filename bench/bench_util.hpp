@@ -10,6 +10,7 @@
 
 #include "compute/autotuner.hpp"
 #include "compute/plan.hpp"
+#include "runtime/knobs.hpp"
 
 namespace bench {
 
@@ -36,8 +37,8 @@ inline std::string bar(double value, double max_value, int width = 40) {
 /// Execution-environment snapshot recorded into every BENCH_*.json so a
 /// delta between two baselines is attributable: worker count vs physical
 /// cores (a 1-core host cannot scale, however many threads it runs), which
-/// micro-kernel family dispatched, and whether the tuning cache fed the
-/// tilings or the defaults did.
+/// micro-kernel family dispatched, whether the tuning cache fed the
+/// tilings or the defaults did, and which SAGESIM_* knobs were set.
 struct RunInfo {
   unsigned workers{0};       ///< effective pool size for the run
   unsigned cpus_online{0};   ///< hardware threads actually available
@@ -45,6 +46,13 @@ struct RunInfo {
   bool fast_math{false};     ///< FMA kernels enabled (tolerance-only mode)
   std::uint64_t tune_hits{0}, tune_misses{0};
   bool tune_loaded{false};   ///< a SAGESIM_TUNE_CACHE file was read
+  /// One per knob the environment sets: the value in effect and whether it
+  /// came from the environment ("env") or, malformed there, the default.
+  struct Knob {
+    std::string name, value, source;
+  };
+  std::vector<Knob> knobs;
+  std::string knob_error;  ///< runtime::check_knobs() message, "" when OK
 };
 
 inline RunInfo run_info(unsigned workers) {
@@ -57,20 +65,54 @@ inline RunInfo run_info(unsigned workers) {
   info.tune_hits = st.hits;
   info.tune_misses = st.misses;
   info.tune_loaded = st.loaded;
+  namespace rt = sagesim::runtime;
+  for (const rt::Knob& k : rt::knob_table())
+    if (const auto raw = rt::knob_env(k.name))
+      info.knobs.push_back({k.name, rt::knob(k.name),
+                            rt::knob_accepts(k, *raw) ? "env" : "default"});
+  info.knob_error = rt::check_knobs().message();
   return info;
 }
 
+/// @p s as a JSON string literal.
+inline std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) < 0x20) {
+      char esc[8];
+      std::snprintf(esc, sizeof esc, "\\u%04x", c);
+      out += esc;
+    } else {
+      out += c;
+    }
+  }
+  return out + '"';
+}
+
 /// Emits the RunInfo as a `"run": {...}` JSON member (no trailing comma).
+/// `knobs` and `knob_error` appear only when there is something to say.
 inline void json_run_info(std::FILE* f, const RunInfo& info) {
   std::fprintf(f,
                "  \"run\": {\"workers\": %u, \"cpus_online\": %u, "
                "\"isa\": \"%s\", \"fast_math\": %s, \"tune_hits\": %llu, "
-               "\"tune_misses\": %llu, \"tune_cache_loaded\": %s}",
+               "\"tune_misses\": %llu, \"tune_cache_loaded\": %s",
                info.workers, info.cpus_online, info.isa,
                info.fast_math ? "true" : "false",
                static_cast<unsigned long long>(info.tune_hits),
                static_cast<unsigned long long>(info.tune_misses),
                info.tune_loaded ? "true" : "false");
+  for (std::size_t i = 0; i < info.knobs.size(); ++i) {
+    const RunInfo::Knob& k = info.knobs[i];
+    std::fprintf(f, "%s\"%s\": {\"value\": %s, \"source\": \"%s\"}",
+                 i == 0 ? ", \"knobs\": {" : ", ", k.name.c_str(),
+                 json_string(k.value).c_str(), k.source.c_str());
+  }
+  if (!info.knobs.empty()) std::fprintf(f, "}");
+  if (!info.knob_error.empty())
+    std::fprintf(f, ", \"knob_error\": %s",
+                 json_string(info.knob_error).c_str());
+  std::fprintf(f, "}");
 }
 
 /// Parses a `--workers` list ("1,2,8") into pool sizes; malformed or empty

@@ -12,6 +12,7 @@
 #include "mem/buffer.hpp"
 #include "mem/pool.hpp"
 #include "prof/report.hpp"
+#include "runtime/knobs.hpp"
 
 using namespace sagesim;
 
@@ -96,7 +97,7 @@ int main() {
   {
     dflow::ClusterOptions opts;
     runtime::FaultConfig faults = runtime::FaultConfig::from_env();
-    if (std::getenv("SAGESIM_FAULT_SEED") == nullptr) {
+    if (runtime::knob("SAGESIM_FAULT_SEED").empty()) {
       faults.seed = 2026;
       faults.preempt_probability = 0.2;
     }

@@ -26,6 +26,15 @@ if grep -rn "Deprecated shim" src/; then
 fi
 echo "no deprecated shims"
 
+step "static: environment reads go through the knob table"
+# Every SAGESIM_* setting is a row of src/runtime/knobs.cpp, whose strict
+# parsers are the only code that reads the environment.
+if grep -rn "getenv" src/ | grep -v "^src/runtime/knobs.cpp:"; then
+  echo "error: getenv outside src/runtime/knobs.cpp (add a knob row instead)"
+  exit 1
+fi
+echo "getenv only in src/runtime/knobs.cpp"
+
 step "tier-1: configure + build"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "compute/plan.hpp"
+#include "runtime/knobs.hpp"
 
 namespace sagesim::compute {
 
@@ -63,7 +63,7 @@ SpmmTiling default_spmm_tiling() {
 Autotuner& Autotuner::shared() {
   static Autotuner* instance = [] {
     auto* t = new Autotuner();
-    const std::string path = cache_path_from_env();
+    const std::string path = runtime::knob("SAGESIM_TUNE_CACHE");
     if (!path.empty()) {
       t->persist_ = true;
       t->persist_path_ = path;
@@ -72,11 +72,6 @@ Autotuner& Autotuner::shared() {
     return t;
   }();
   return *instance;
-}
-
-std::string Autotuner::cache_path_from_env() {
-  const char* env = std::getenv("SAGESIM_TUNE_CACHE");
-  return env != nullptr ? std::string(env) : std::string();
 }
 
 // --- consult ---------------------------------------------------------------

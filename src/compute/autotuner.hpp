@@ -121,9 +121,6 @@ class Autotuner {
   /// failure.
   bool save(const std::string& path) const;
 
-  /// Path persisted to by searches: SAGESIM_TUNE_CACHE, or "" when unset.
-  static std::string cache_path_from_env();
-
   TunerStats stats() const;
   void reset_stats();
   /// Drops every entry (tests).

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <memory>
@@ -12,6 +11,7 @@
 #include <string>
 
 #include "mem/pool.hpp"
+#include "runtime/knobs.hpp"
 
 namespace sagesim::compute {
 
@@ -229,15 +229,8 @@ bool isa_has_fma() {
 
 namespace {
 
-bool fast_math_from_env() {
-  const char* env = std::getenv("SAGESIM_FAST_MATH");
-  if (env == nullptr) return false;
-  const std::string v(env);
-  return v == "1" || v == "on" || v == "true";
-}
-
 std::atomic<bool>& fast_math_slot() {
-  static std::atomic<bool> slot{fast_math_from_env()};
+  static std::atomic<bool> slot{runtime::knob_bool("SAGESIM_FAST_MATH")};
   return slot;
 }
 

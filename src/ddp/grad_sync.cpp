@@ -1,26 +1,20 @@
 #include "ddp/grad_sync.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "compute/autotuner.hpp"
 #include "dflow/collectives.hpp"
+#include "runtime/knobs.hpp"
 
 namespace sagesim::ddp {
 
 namespace {
 
-/// SAGESIM_DDP_BUCKET_MB in bytes, or 0 when unset/unparseable.
+/// SAGESIM_DDP_BUCKET_MB in bytes (0 when unset), read once per process.
 std::size_t env_bucket_bytes() {
-  static const std::size_t cached = [] {
-    if (const char* env = std::getenv("SAGESIM_DDP_BUCKET_MB")) {
-      char* end = nullptr;
-      const unsigned long mb = std::strtoul(env, &end, 10);
-      if (end != env && mb > 0) return static_cast<std::size_t>(mb) << 20;
-    }
-    return std::size_t{0};
-  }();
+  static const std::size_t cached =
+      runtime::knob_unsigned("SAGESIM_DDP_BUCKET_MB") << 20;
   return cached;
 }
 

@@ -2,20 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #include "prof/check.hpp"
+#include "runtime/knobs.hpp"
 
 namespace sagesim::gpu {
 
 namespace {
-
-Fidelity read_env_fidelity() {
-  const char* v = std::getenv("SAGESIM_GPU_FIDELITY");
-  if (v != nullptr && std::strcmp(v, "warp") == 0) return Fidelity::kWarp;
-  return Fidelity::kAnalytic;
-}
 
 // kDefault doubles as "not resolved yet": the first default_fidelity() call
 // after startup (or after set_default_fidelity(kDefault)) reads the env.
@@ -26,7 +19,8 @@ std::atomic<Fidelity> g_default{Fidelity::kDefault};
 Fidelity default_fidelity() {
   Fidelity f = g_default.load(std::memory_order_relaxed);
   if (f != Fidelity::kDefault) return f;
-  f = read_env_fidelity();
+  f = runtime::knob("SAGESIM_GPU_FIDELITY") == "warp" ? Fidelity::kWarp
+                                                     : Fidelity::kAnalytic;
   g_default.store(f, std::memory_order_relaxed);
   return f;
 }

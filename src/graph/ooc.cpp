@@ -341,7 +341,7 @@ Expected<ShardStore> ShardStore::open(const OocGraphMeta& meta,
     throw std::invalid_argument("ShardStore: max_resident_shards must be >= 1");
   ShardStore store;
   store.meta_ = meta;
-  store.max_resident_ = max_resident_shards;
+  store.cache_ = decltype(store.cache_)(max_resident_shards);
   store.degrees_ = mem::TypedBuffer<std::uint32_t>(meta.num_nodes);
   const std::string path = degrees_path(meta.dir);
   std::ifstream in(path, std::ios::binary);
@@ -358,11 +358,7 @@ Expected<std::shared_ptr<const GraphShard>> ShardStore::acquire(
   if (shard >= meta_.num_shards)
     throw std::out_of_range("ShardStore::acquire: shard out of range");
   std::lock_guard lock(*mutex_);
-  if (auto it = cache_.find(shard); it != cache_.end()) {
-    ++stats_.hits;
-    it->second.tick = ++tick_;
-    return it->second.shard;
-  }
+  if (auto hit = cache_.get(shard)) return *std::move(hit);
 
   const std::string path = shard_path(meta_.dir, shard);
   std::ifstream in(path, std::ios::binary);
@@ -395,18 +391,12 @@ Expected<std::shared_ptr<const GraphShard>> ShardStore::acquire(
   stats_.resident_bytes += loaded->resident_bytes();
   stats_.resident_peak_bytes =
       std::max(stats_.resident_peak_bytes, stats_.resident_bytes);
-  cache_.emplace(shard, Cached{loaded, ++tick_});
 
   // LRU eviction beyond the resident bound.  Dropping the cache reference
   // is enough: pinned readers keep the shard alive through their
   // shared_ptr, and the buffers return to the pool when the last pin dies.
-  while (cache_.size() > max_resident_) {
-    auto victim = cache_.begin();
-    for (auto it = cache_.begin(); it != cache_.end(); ++it)
-      if (it->second.tick < victim->second.tick) victim = it;
-    stats_.resident_bytes -= victim->second.shard->resident_bytes();
-    cache_.erase(victim);
-    ++stats_.evictions;
+  if (const auto evicted = cache_.put(shard, loaded)) {
+    stats_.resident_bytes -= evicted->second->resident_bytes();
     prof::counter("graph.shard_evictions").add();
   }
   return std::shared_ptr<const GraphShard>(std::move(loaded));
@@ -414,7 +404,10 @@ Expected<std::shared_ptr<const GraphShard>> ShardStore::acquire(
 
 ShardStoreStats ShardStore::stats() const {
   std::lock_guard lock(*mutex_);
-  return stats_;
+  ShardStoreStats s = stats_;
+  s.hits = cache_.hits();
+  s.evictions = cache_.evictions();
+  return s;
 }
 
 int ooc_label(const OocFeatureSpec& spec, NodeId u) {

@@ -17,17 +17,16 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "graph/csr.hpp"
 #include "mem/buffer.hpp"
+#include "runtime/lru_cache.hpp"
 #include "runtime/status.hpp"
 
 namespace sagesim::tensor {
@@ -164,19 +163,12 @@ class ShardStore {
  private:
   ShardStore() = default;
 
-  struct Cached {
-    std::shared_ptr<const GraphShard> shard;
-    std::uint64_t tick{0};
-  };
-
   OocGraphMeta meta_;
-  std::size_t max_resident_{1};
   mem::TypedBuffer<std::uint32_t> degrees_;
 
   std::unique_ptr<std::mutex> mutex_{std::make_unique<std::mutex>()};
-  std::unordered_map<std::size_t, Cached> cache_;
-  std::uint64_t tick_{0};
-  ShardStoreStats stats_;
+  runtime::LruCache<std::size_t, std::shared_ptr<const GraphShard>> cache_{1};
+  ShardStoreStats stats_;  ///< hits and evictions live in cache_
 };
 
 /// Deterministic synthetic supervision for out-of-core graphs: the label is

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <iomanip>
 #include <new>
 #include <sstream>
@@ -11,6 +10,7 @@
 
 #include "gpusim/device.hpp"
 #include "prof/check.hpp"
+#include "runtime/knobs.hpp"
 
 namespace sagesim::mem {
 
@@ -201,10 +201,7 @@ void Pool::reset_peak() {
 }
 
 bool pool_enabled_from_env() {
-  const char* v = std::getenv("SAGESIM_MEM_POOL");
-  if (v == nullptr) return true;
-  const std::string s(v);
-  return !(s == "off" || s == "0" || s == "false");
+  return runtime::knob_bool("SAGESIM_MEM_POOL");
 }
 
 Pool& host_pool() {

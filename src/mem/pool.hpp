@@ -118,7 +118,7 @@ class Pool {
   PoolStats stats_;
 };
 
-/// True unless SAGESIM_MEM_POOL is set to "off"/"0"/"false" — the documented
+/// True unless SAGESIM_MEM_POOL is "off"/"0"/"false" — the documented
 /// escape hatch that turns every pooled allocation into a direct upstream
 /// call (for debugging lifetime issues under ASan, or measuring the pool's
 /// own benefit).

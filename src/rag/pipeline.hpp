@@ -38,8 +38,9 @@ struct ServeOptions {
                            ///< (missed -> kDeadlineExceeded, retryable)
 
   /// Overrides from SAGESIM_RAG_MAX_BATCH, SAGESIM_RAG_MAX_DELAY_US,
-  /// SAGESIM_RAG_EMBED_CACHE, SAGESIM_RAG_RESULT_CACHE,
-  /// SAGESIM_RAG_DEADLINE_S; unset variables keep the defaults.
+  /// SAGESIM_RAG_EMBED_CACHE, SAGESIM_RAG_RESULT_CACHE and
+  /// SAGESIM_RAG_DEADLINE_S (runtime/knobs.hpp); unset or malformed
+  /// variables keep the defaults above.
   static ServeOptions from_env();
 };
 

@@ -32,7 +32,7 @@
 #include <thread>
 #include <vector>
 
-#include "rag/cache.hpp"
+#include "runtime/lru_cache.hpp"
 #include "rag/latency.hpp"
 #include "rag/pipeline.hpp"
 #include "runtime/scheduler.hpp"
@@ -111,8 +111,8 @@ class Server {
   std::deque<Pending> queue_;
   bool stop_{false};
   bool busy_{false};  ///< a batch is being processed
-  LruCache<std::uint64_t, std::vector<float>> embed_cache_;
-  LruCache<std::uint64_t, RagAnswer> result_cache_;
+  runtime::LruCache<std::uint64_t, std::vector<float>> embed_cache_;
+  runtime::LruCache<std::uint64_t, RagAnswer> result_cache_;
   Stats stats_;
   LatencyTracker latency_;
 

@@ -1,23 +1,14 @@
 #include "runtime/fault.hpp"
 
-#include <cstdlib>
+#include "runtime/knobs.hpp"
 
 namespace sagesim::runtime {
 
 FaultConfig FaultConfig::from_env() {
   FaultConfig cfg;
-  const char* seed = std::getenv("SAGESIM_FAULT_SEED");
-  if (seed == nullptr) return cfg;
-  char* end = nullptr;
-  cfg.seed = std::strtoull(seed, &end, 10);
-  if (end == seed) return cfg;  // unparsable: leave faults off
-  cfg.preempt_probability = 0.05;
-  if (const char* rate = std::getenv("SAGESIM_FAULT_RATE")) {
-    char* rate_end = nullptr;
-    const double parsed = std::strtod(rate, &rate_end);
-    if (rate_end != rate && parsed >= 0.0 && parsed <= 1.0)
-      cfg.preempt_probability = parsed;
-  }
+  if (knob("SAGESIM_FAULT_SEED").empty()) return cfg;  // faults off
+  cfg.seed = knob_unsigned("SAGESIM_FAULT_SEED");
+  cfg.preempt_probability = knob_double("SAGESIM_FAULT_RATE");
   return cfg;
 }
 

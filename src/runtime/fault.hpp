@@ -44,9 +44,9 @@ struct FaultConfig {
   /// Hard cap on injected preemptions (keeps overhead bounded in benches).
   std::size_t max_preemptions{std::numeric_limits<std::size_t>::max()};
 
-  /// Reads SAGESIM_FAULT_SEED (uint64) and SAGESIM_FAULT_RATE (double,
-  /// defaults to 0.05 when only the seed is set).  Returns a config with
-  /// preempt_probability == 0 when the seed variable is unset.
+  /// Reads SAGESIM_FAULT_SEED and SAGESIM_FAULT_RATE (runtime/knobs.hpp;
+  /// the rate defaults to 0.05).  Returns a config with
+  /// preempt_probability == 0 when the seed is unset or malformed.
   static FaultConfig from_env();
 };
 

@@ -1,18 +1,18 @@
-// Bounded LRU map — the building block behind the Server's embedding and
-// result caches.  Header-only and deliberately not thread-safe: the Server
-// serializes access under its own admission lock, and keeping the lock
-// outside lets one critical section cover a lookup plus the stats update.
+// Bounded LRU map — the one LRU behind rag::Server's embedding and result
+// caches and graph::ShardStore's resident shards.  Header-only and
+// deliberately not thread-safe: each owner serializes access under its own
+// lock, so one critical section covers a lookup plus the owner's own
+// bookkeeping.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <list>
 #include <optional>
-#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
-namespace sagesim::rag {
+namespace sagesim::runtime {
 
 /// Fixed-capacity LRU cache.  Capacity 0 disables the cache entirely (every
 /// get misses, put is a no-op) so "caching off" needs no special casing at
@@ -35,21 +35,24 @@ class LruCache {
   }
 
   /// Inserts or refreshes @p key, evicting the least-recently-used entry
-  /// when full.
-  void put(const K& key, V value) {
-    if (capacity_ == 0) return;
+  /// when full; returns the evicted entry, if any.
+  std::optional<std::pair<K, V>> put(const K& key, V value) {
+    if (capacity_ == 0) return std::nullopt;
     if (const auto it = map_.find(key); it != map_.end()) {
       it->second->second = std::move(value);
       order_.splice(order_.begin(), order_, it->second);
-      return;
+      return std::nullopt;
     }
+    std::optional<std::pair<K, V>> evicted;
     if (order_.size() >= capacity_) {
-      map_.erase(order_.back().first);
+      evicted = std::move(order_.back());
+      map_.erase(evicted->first);
       order_.pop_back();
       ++evictions_;
     }
     order_.emplace_front(key, std::move(value));
     map_[key] = order_.begin();
+    return evicted;
   }
 
   std::size_t size() const { return order_.size(); }
@@ -69,4 +72,4 @@ class LruCache {
   std::uint64_t evictions_{0};
 };
 
-}  // namespace sagesim::rag
+}  // namespace sagesim::runtime

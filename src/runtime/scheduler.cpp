@@ -1,8 +1,9 @@
 #include "runtime/scheduler.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
+
+#include "runtime/knobs.hpp"
 
 namespace sagesim::runtime {
 
@@ -17,12 +18,8 @@ thread_local int tl_worker = -1;
 
 unsigned resolve_worker_count(unsigned requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("SAGESIM_WORKERS")) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0 && parsed < 4096)
-      return static_cast<unsigned>(parsed);
-  }
+  if (const auto env = knob_unsigned("SAGESIM_WORKERS"); env > 0)
+    return static_cast<unsigned>(env);
   return std::max(1u, std::thread::hardware_concurrency());
 }
 

@@ -53,8 +53,8 @@ struct SubmitOptions {
   double timeout_s{0.0};
 };
 
-/// Resolves a requested worker count: @p requested if > 0, else the
-/// SAGESIM_WORKERS environment variable if set and positive, else
+/// Resolves a requested worker count: @p requested if > 0, else a
+/// well-formed SAGESIM_WORKERS (runtime/knobs.hpp), else
 /// std::thread::hardware_concurrency() (at least 1).
 unsigned resolve_worker_count(unsigned requested);
 

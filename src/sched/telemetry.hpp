@@ -47,9 +47,6 @@ struct SchedReport {
   double gpu_hours{0.0};
 };
 
-/// p-th percentile (p in [0, 1]) by linear interpolation; 0 for empty input.
-double percentile(std::vector<double> values, double p);
-
 /// Rolls the manager's current state into one report.  Waits cover every
 /// job that was placed at least once.
 SchedReport build_report(const ClusterManager& manager);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #if defined(__GNUC__) && defined(__x86_64__)
@@ -12,19 +10,16 @@
 #endif
 
 #include "compute/plan.hpp"
+#include "runtime/knobs.hpp"
 
 namespace sagesim::tensor::ops {
 
 namespace {
 
-HostBackend backend_from_env() {
-  const char* env = std::getenv("SAGESIM_HOST_BACKEND");
-  if (env != nullptr && std::string(env) == "naive") return HostBackend::kNaive;
-  return HostBackend::kBlocked;
-}
-
 std::atomic<HostBackend>& backend_slot() {
-  static std::atomic<HostBackend> slot{backend_from_env()};
+  static std::atomic<HostBackend> slot{
+      runtime::knob("SAGESIM_HOST_BACKEND") == "naive" ? HostBackend::kNaive
+                                                       : HostBackend::kBlocked};
   return slot;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <numeric>
 #include <set>
 
@@ -383,84 +384,6 @@ TEST(Spmm, ValidatesShapes) {
   EXPECT_THROW(graph::spmm(nullptr, a, wrong, y), std::invalid_argument);
 }
 
-// --- algorithms (BFS, components, IO) ---------------------------------------------
-
-#include <sstream>
-
-#include "graph/algorithms.hpp"
-
-TEST(Algorithms, BfsDistancesOnGrid) {
-  const auto g = graph::grid_2d(3, 3);
-  const auto dist = graph::bfs_distances(g, 0);
-  EXPECT_EQ(dist[0], 0u);
-  EXPECT_EQ(dist[1], 1u);   // right neighbor
-  EXPECT_EQ(dist[4], 2u);   // center
-  EXPECT_EQ(dist[8], 4u);   // opposite corner: manhattan distance
-  EXPECT_THROW(graph::bfs_distances(g, 99), std::out_of_range);
-}
-
-TEST(Algorithms, BfsMarksUnreachable) {
-  // Two disjoint edges: 0-1, 2-3.
-  const std::vector<std::pair<graph::NodeId, graph::NodeId>> edges{{0, 1},
-                                                                   {2, 3}};
-  const auto g = graph::CsrGraph::from_edges(4, edges);
-  const auto dist = graph::bfs_distances(g, 0);
-  EXPECT_EQ(dist[1], 1u);
-  EXPECT_EQ(dist[2], graph::kUnreachable);
-}
-
-TEST(Algorithms, ConnectedComponentsCountsAndSizes) {
-  const std::vector<std::pair<graph::NodeId, graph::NodeId>> edges{
-      {0, 1}, {1, 2}, {3, 4}};
-  const auto g = graph::CsrGraph::from_edges(6, edges);  // node 5 isolated
-  const auto c = graph::connected_components(g);
-  EXPECT_EQ(c.count, 3);
-  EXPECT_EQ(c.label[0], c.label[2]);
-  EXPECT_NE(c.label[0], c.label[3]);
-  std::size_t total = 0;
-  for (std::size_t s : c.sizes) total += s;
-  EXPECT_EQ(total, 6u);
-}
-
-TEST(Algorithms, PlantedPartitionIsMostlyOneComponent) {
-  Rng rng(50);
-  graph::PlantedPartitionParams p;
-  p.num_nodes = 300;
-  p.intra_edge_prob = 0.05;
-  p.inter_edge_prob = 0.01;
-  const auto ds = graph::planted_partition(p, rng);
-  const auto c = graph::connected_components(ds.graph);
-  // The giant component holds nearly everything at this density.
-  EXPECT_GE(*std::max_element(c.sizes.begin(), c.sizes.end()), 280u);
-}
-
-TEST(Algorithms, DegreeHistogramSumsToNodes) {
-  const auto g = graph::grid_2d(4, 4);
-  const auto h = graph::degree_histogram(g);
-  std::size_t total = 0;
-  for (std::size_t c : h) total += c;
-  EXPECT_EQ(total, 16u);
-  EXPECT_EQ(h[2], 4u);  // corners
-  EXPECT_EQ(h[4], 4u);  // interior
-}
-
-TEST(Algorithms, EdgeListRoundTripsThroughStream) {
-  Rng rng(51);
-  const auto g = graph::erdos_renyi(50, 0.1, rng);
-  std::stringstream ss;
-  graph::write_edge_list(g, ss);
-  const auto g2 = graph::read_edge_list(ss);
-  EXPECT_EQ(g2.num_nodes(), g.num_nodes());
-  EXPECT_EQ(g2.num_edges(), g.num_edges());
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u)
-    ASSERT_EQ(g2.degree(u), g.degree(u));
-}
-
-TEST(Algorithms, ReadEdgeListRejectsGarbage) {
-  std::stringstream ss("not a number");
-  EXPECT_THROW(graph::read_edge_list(ss), std::runtime_error);
-}
-
 TEST(Generators, RedditLikeHasPublishedShape) {
   Rng rng(60);
   const auto ds = graph::reddit_like(rng, 0.02);  // ~4659 nodes
@@ -604,4 +527,36 @@ TEST(OocIndexWidth, CsrOffsetsAreSizeT) {
   static_assert(sizeof(a.offsets[0]) == 8,
                 "normalized adjacency offsets must be 64-bit");
   EXPECT_EQ(a.offsets[a.num_nodes()], a.columns.size());
+}
+
+// --- shard store recency -------------------------------------------------------
+
+TEST(ShardStore, HitRefreshesRecencySoTheColdShardIsEvicted) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "sagesim_lru_refresh";
+  std::filesystem::remove_all(dir);
+  graph::OocRmatParams p;
+  p.scale = 10;
+  p.edge_factor = 8;
+  p.nodes_per_shard = 256;
+  p.dir = dir.string();
+  const auto meta = graph::build_sharded_rmat(p);
+  ASSERT_TRUE(meta) << meta.status().to_string();
+  auto store = graph::ShardStore::open(*meta, 2);
+  ASSERT_TRUE(store);
+
+  // Acquire 0, 1, 0, 2 at bound 2: the hit on 0 makes 1 the coldest, so
+  // loading 2 evicts 1 and 0 stays cached.
+  for (const std::size_t shard : {0u, 1u, 0u, 2u})
+    ASSERT_TRUE(store->acquire(shard));
+  EXPECT_EQ(store->stats().loads, 3u);
+  EXPECT_EQ(store->stats().hits, 1u);
+  EXPECT_EQ(store->stats().evictions, 1u);
+
+  ASSERT_TRUE(store->acquire(0));  // still resident
+  EXPECT_EQ(store->stats().loads, 3u);
+  EXPECT_EQ(store->stats().hits, 2u);
+  ASSERT_TRUE(store->acquire(1));  // was evicted: reloads
+  EXPECT_EQ(store->stats().loads, 4u);
+  std::filesystem::remove_all(dir);
 }

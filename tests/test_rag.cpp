@@ -8,10 +8,11 @@
 
 #include "compute/autotuner.hpp"
 #include "gpusim/device_manager.hpp"
-#include "rag/cache.hpp"
 #include "rag/hnsw.hpp"
 #include "rag/pipeline.hpp"
 #include "rag/server.hpp"
+#include "runtime/knobs.hpp"
+#include "runtime/lru_cache.hpp"
 
 namespace rag = sagesim::rag;
 namespace gpu = sagesim::gpu;
@@ -552,11 +553,14 @@ TEST_F(IndexFixture, HnswTunerRecordsEfMeetingRecall) {
 // --- LRU cache -----------------------------------------------------------
 
 TEST(LruCache, EvictsLeastRecentlyUsed) {
-  rag::LruCache<int, std::string> cache(2);
+  sagesim::runtime::LruCache<int, std::string> cache(2);
   cache.put(1, "one");
   cache.put(2, "two");
   ASSERT_TRUE(cache.get(1).has_value());  // 1 is now most recent
-  cache.put(3, "three");                  // evicts 2
+  const auto evicted = cache.put(3, "three");  // evicts 2
+  ASSERT_TRUE(evicted.has_value());
+  EXPECT_EQ(evicted->first, 2);
+  EXPECT_EQ(evicted->second, "two");
   EXPECT_FALSE(cache.get(2).has_value());
   EXPECT_EQ(cache.get(1).value(), "one");
   EXPECT_EQ(cache.get(3).value(), "three");
@@ -567,18 +571,18 @@ TEST(LruCache, EvictsLeastRecentlyUsed) {
 }
 
 TEST(LruCache, PutRefreshesExistingKey) {
-  rag::LruCache<int, int> cache(2);
+  sagesim::runtime::LruCache<int, int> cache(2);
   cache.put(1, 10);
   cache.put(2, 20);
-  cache.put(1, 11);  // refresh, not insert
-  cache.put(3, 30);  // evicts 2, not 1
+  EXPECT_FALSE(cache.put(1, 11).has_value());  // refresh, not insert
+  EXPECT_EQ(cache.put(3, 30)->first, 2);        // evicts 2, not 1
   EXPECT_EQ(cache.get(1).value(), 11);
   EXPECT_FALSE(cache.get(2).has_value());
 }
 
 TEST(LruCache, ZeroCapacityDisables) {
-  rag::LruCache<int, int> cache(0);
-  cache.put(1, 10);
+  sagesim::runtime::LruCache<int, int> cache(0);
+  EXPECT_FALSE(cache.put(1, 10).has_value());
   EXPECT_FALSE(cache.get(1).has_value());
   EXPECT_EQ(cache.size(), 0u);
 }
@@ -652,6 +656,32 @@ TEST_F(ServerFixture, BatchedAndCachedAnswersAreBitIdenticalToSerial) {
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_GE(stats.batches, 1u);
   EXPECT_GE(stats.largest_batch, 2u);
+}
+
+TEST_F(ServerFixture, MalformedKnobsServeWithTheDefaults) {
+  // "abc" used to read as max_batch 0, which Server's constructor rejects
+  // with an exception; "1e3" read as 1 and "-1" as 2^64 - 1.
+  ::setenv("SAGESIM_RAG_MAX_BATCH", "abc", 1);
+  ::setenv("SAGESIM_RAG_MAX_DELAY_US", "-1", 1);
+  ::setenv("SAGESIM_RAG_RESULT_CACHE", "1e3", 1);
+  ::setenv("SAGESIM_RAG_DEADLINE_S", "nan", 1);
+  const auto opts = rag::ServeOptions::from_env();
+  const auto knobs = sagesim::runtime::check_knobs();
+  ::unsetenv("SAGESIM_RAG_MAX_BATCH");
+  ::unsetenv("SAGESIM_RAG_MAX_DELAY_US");
+  ::unsetenv("SAGESIM_RAG_RESULT_CACHE");
+  ::unsetenv("SAGESIM_RAG_DEADLINE_S");
+  const rag::ServeOptions defaults;
+  EXPECT_EQ(opts.max_batch, defaults.max_batch);
+  EXPECT_EQ(opts.max_delay_us, defaults.max_delay_us);
+  EXPECT_EQ(opts.result_cache_entries, defaults.result_cache_entries);
+  EXPECT_EQ(opts.deadline_s, defaults.deadline_s);
+  EXPECT_EQ(knobs.code(), sagesim::ErrorCode::kInvalidArgument);
+
+  auto pipeline = make_pipeline();
+  rag::Server server(*pipeline, opts);
+  auto answer = server.submit(make_queries(1).front()).result();
+  EXPECT_TRUE(answer.has_value()) << answer.status().to_string();
 }
 
 TEST_F(ServerFixture, ResultCacheServesExactRepeats) {

@@ -1,20 +1,27 @@
 // Stress and semantics tests for the unified task-graph runtime
 // (src/runtime): dependency diamonds, failure propagation, pinned vs
 // stealable placement, cancellation, continuations, when_all, the
-// SAGESIM_WORKERS override, and a many-task churn run executed twice to
-// catch ordering nondeterminism.
+// SAGESIM_WORKERS override, a many-task churn run executed twice to catch
+// ordering nondeterminism, and the SAGESIM_* knob table's parse edges.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "runtime/fault.hpp"
+#include "runtime/knobs.hpp"
 #include "runtime/scheduler.hpp"
 
 namespace rt = sagesim::runtime;
@@ -403,4 +410,157 @@ TEST(Runtime, ChurnIsDeterministicAcrossRuns) {
   const std::uint64_t second = churn_once(1234);
   EXPECT_EQ(first, second);
   EXPECT_NE(first, churn_once(99));
+}
+
+// --- environment knobs --------------------------------------------------------
+
+namespace {
+
+/// Sets (or, with nullptr, unsets) one variable until scope exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value != nullptr)
+      ::setenv(name, value, 1);
+    else
+      ::unsetenv(name);
+  }
+  ~ScopedEnv() {
+    if (old_)
+      ::setenv(name_, old_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// Values just outside @p k's accepted set.
+std::vector<std::string> just_outside(const rt::Knob& k) {
+  switch (k.kind) {
+    case rt::KnobKind::kUnsigned: {
+      std::vector<std::string> out{
+          k.hi >= 1.8e19 ? "18446744073709551616"
+                         : std::to_string(static_cast<std::uint64_t>(k.hi) + 1)};
+      if (k.lo > 0)
+        out.push_back(std::to_string(static_cast<std::uint64_t>(k.lo) - 1));
+      return out;
+    }
+    case rt::KnobKind::kDouble: {
+      std::vector<std::string> out;
+      for (const double v : {std::nextafter(k.hi, INFINITY),
+                             std::nextafter(k.lo, -INFINITY)}) {
+        char buf[40];
+        std::snprintf(buf, sizeof buf, "%.17g", v);
+        out.emplace_back(buf);
+      }
+      return out;
+    }
+    case rt::KnobKind::kPath: return {};
+    default: {  // a listed word with a trailing character
+      const std::string words = k.words;
+      return {words.substr(0, words.find('|')) + "x"};
+    }
+  }
+}
+
+}  // namespace
+
+TEST(Knobs, TableListsEveryKnobOnce) {
+  const std::vector<std::string> want{
+      "SAGESIM_WORKERS",          "SAGESIM_TUNE_CACHE",
+      "SAGESIM_FAST_MATH",        "SAGESIM_HOST_BACKEND",
+      "SAGESIM_MEM_POOL",         "SAGESIM_FAULT_SEED",
+      "SAGESIM_FAULT_RATE",       "SAGESIM_GPU_FIDELITY",
+      "SAGESIM_DDP_BUCKET_MB",    "SAGESIM_RAG_MAX_BATCH",
+      "SAGESIM_RAG_MAX_DELAY_US", "SAGESIM_RAG_EMBED_CACHE",
+      "SAGESIM_RAG_RESULT_CACHE", "SAGESIM_RAG_DEADLINE_S"};
+  std::vector<std::string> got;
+  for (const rt::Knob& k : rt::knob_table()) got.emplace_back(k.name);
+  EXPECT_EQ(got, want);
+  EXPECT_THROW(rt::knob("SAGESIM_WORKER"), std::invalid_argument);
+}
+
+TEST(Knobs, MalformedValuesReadAsTheDefaultAndAreReported) {
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  for (const rt::Knob& k : rt::knob_table()) {
+    std::vector<std::string> probes{"",     "abc",   "-1",
+                                    "1e3",  "12abc", "99999999999999999999",
+                                    "nan"};
+    for (std::string& v : just_outside(k)) probes.push_back(std::move(v));
+    for (const std::string& v : probes) {
+      SCOPED_TRACE(std::string(k.name) + "=" + v);
+      const ScopedEnv env(k.name, v.c_str());
+      // Any non-empty path is a path; 1e3 is a number some rows accept.
+      const bool accepted =
+          (k.kind == rt::KnobKind::kPath && !v.empty()) ||
+          (k.kind == rt::KnobKind::kDouble && v == "1e3" && k.hi >= 1e3);
+      const sagesim::Status st = rt::check_knobs();
+      if (accepted) {
+        EXPECT_EQ(rt::knob(k.name), v);
+        EXPECT_TRUE(st.ok()) << st.to_string();
+        continue;
+      }
+      EXPECT_EQ(rt::knob(k.name), k.fallback);
+      EXPECT_EQ(st.code(), sagesim::ErrorCode::kInvalidArgument);
+      EXPECT_NE(st.message().find(std::string(k.name) + "="),
+                std::string::npos)
+          << st.message();
+      // The runtime's own readers.  Never construct a Scheduler here: an
+      // out-of-range count would start that many threads.
+      const std::string_view name = k.name;
+      if (name == "SAGESIM_WORKERS") {
+        EXPECT_EQ(rt::resolve_worker_count(0), hardware);
+      }
+      if (name == "SAGESIM_FAULT_SEED") {
+        EXPECT_DOUBLE_EQ(rt::FaultConfig::from_env().preempt_probability, 0.0);
+      }
+      if (name == "SAGESIM_FAULT_RATE") {
+        const ScopedEnv seed("SAGESIM_FAULT_SEED", "7");
+        EXPECT_DOUBLE_EQ(rt::FaultConfig::from_env().preempt_probability,
+                         0.05);
+      }
+    }
+  }
+}
+
+TEST(Knobs, UnknownNamesAreReported) {
+  EXPECT_TRUE(rt::check_knobs().ok()) << rt::check_knobs().to_string();
+  const ScopedEnv typo("SAGESIM_WORKER", "2");
+  const sagesim::Status st = rt::check_knobs();
+  EXPECT_EQ(st.code(), sagesim::ErrorCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("SAGESIM_WORKER "), std::string::npos)
+      << st.message();
+}
+
+TEST(Knobs, WellFormedValuesKeepTheirMeaning) {
+  {
+    const ScopedEnv seed("SAGESIM_FAULT_SEED", "18446744073709551615");
+    const ScopedEnv rate("SAGESIM_FAULT_RATE", "1");
+    const auto cfg = rt::FaultConfig::from_env();
+    EXPECT_EQ(cfg.seed, 18446744073709551615u);
+    EXPECT_DOUBLE_EQ(cfg.preempt_probability, 1.0);
+    EXPECT_TRUE(rt::check_knobs().ok());
+  }
+  {
+    const ScopedEnv workers("SAGESIM_WORKERS", "4095");
+    EXPECT_EQ(rt::resolve_worker_count(0), 4095u);  // resolved, not started
+  }
+  for (const char* v : {"0", "off", "false"}) {
+    const ScopedEnv pool("SAGESIM_MEM_POOL", v);
+    EXPECT_FALSE(rt::knob_bool("SAGESIM_MEM_POOL"));
+  }
+  for (const char* v : {"1", "on", "true"}) {
+    const ScopedEnv pool("SAGESIM_FAST_MATH", v);
+    EXPECT_TRUE(rt::knob_bool("SAGESIM_FAST_MATH"));
+  }
+  EXPECT_TRUE(rt::knob_bool("SAGESIM_MEM_POOL"));    // unset: on
+  EXPECT_FALSE(rt::knob_bool("SAGESIM_FAST_MATH"));  // unset: off
+  const ScopedEnv deadline("SAGESIM_RAG_DEADLINE_S", "0.25");
+  EXPECT_DOUBLE_EQ(rt::knob_double("SAGESIM_RAG_DEADLINE_S"), 0.25);
 }

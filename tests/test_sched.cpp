@@ -810,10 +810,17 @@ TEST(Requeue, RetriedPayloadKeepsFleetDemandExact) {
 }
 
 TEST(Telemetry, PercentileInterpolates) {
-  EXPECT_DOUBLE_EQ(sched::percentile({}, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(sched::percentile({3.0, 1.0, 2.0}, 0.5), 2.0);
-  EXPECT_DOUBLE_EQ(sched::percentile({1.0, 2.0}, 1.0), 2.0);
-  EXPECT_NEAR(sched::percentile({0.0, 10.0}, 0.25), 2.5, 1e-12);
+  // One node, three one-hour jobs submitted together: they wait 0, 1 and
+  // 2 hours, and the report interpolates between those waits.
+  sched::ClusterManager mgr(fleet(1));
+  mgr.register_tenant(unlimited("lab"));
+  EXPECT_DOUBLE_EQ(sched::build_report(mgr).wait_p99_h, 0.0);  // no waits
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(mgr.submit(synthetic("lab", 1, 1.0)));
+  ASSERT_TRUE(mgr.drain());
+  const sched::SchedReport r = sched::build_report(mgr);
+  EXPECT_NEAR(r.wait_p50_h, 1.0, 1e-9);
+  EXPECT_NEAR(r.wait_p99_h, 1.98, 1e-9);
+  EXPECT_NEAR(r.wait_max_h, 2.0, 1e-9);
 }
 
 // --- semester load --------------------------------------------------------
