@@ -1,10 +1,11 @@
 // Shared formatting helpers for the bench binaries.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -43,7 +44,6 @@ struct RunInfo {
   unsigned workers{0};       ///< effective pool size for the run
   unsigned cpus_online{0};   ///< hardware threads actually available
   const char* isa{""};       ///< "avx2" / "portable" dispatch choice
-  bool fast_math{false};     ///< FMA kernels enabled (tolerance-only mode)
   std::uint64_t tune_hits{0}, tune_misses{0};
   bool tune_loaded{false};   ///< a SAGESIM_TUNE_CACHE file was read
   /// One per knob the environment sets: the value in effect and whether it
@@ -60,7 +60,6 @@ inline RunInfo run_info(unsigned workers) {
   info.workers = workers;
   info.cpus_online = std::thread::hardware_concurrency();
   info.isa = sagesim::compute::isa_name();
-  info.fast_math = sagesim::compute::fast_math();
   const auto st = sagesim::compute::Autotuner::shared().stats();
   info.tune_hits = st.hits;
   info.tune_misses = st.misses;
@@ -95,10 +94,9 @@ inline std::string json_string(const std::string& s) {
 inline void json_run_info(std::FILE* f, const RunInfo& info) {
   std::fprintf(f,
                "  \"run\": {\"workers\": %u, \"cpus_online\": %u, "
-               "\"isa\": \"%s\", \"fast_math\": %s, \"tune_hits\": %llu, "
+               "\"isa\": \"%s\", \"tune_hits\": %llu, "
                "\"tune_misses\": %llu, \"tune_cache_loaded\": %s",
                info.workers, info.cpus_online, info.isa,
-               info.fast_math ? "true" : "false",
                static_cast<unsigned long long>(info.tune_hits),
                static_cast<unsigned long long>(info.tune_misses),
                info.tune_loaded ? "true" : "false");
@@ -115,21 +113,27 @@ inline void json_run_info(std::FILE* f, const RunInfo& info) {
   std::fprintf(f, "}");
 }
 
-/// Parses a `--workers` list ("1,2,8") into pool sizes; malformed or empty
-/// input falls back to @p fallback.
-inline std::vector<unsigned> parse_workers(const char* arg,
+/// Parses a `--workers` list ("1,2,8") into pool sizes.  Each element must
+/// be a pool size SAGESIM_WORKERS accepts (the whole string, 1-4095: no
+/// sign, no wrap, no empty element); otherwise, or on empty input, the
+/// result is @p fallback.
+inline std::vector<unsigned> parse_workers(std::string_view arg,
                                            std::vector<unsigned> fallback) {
+  namespace rt = sagesim::runtime;
+  const auto table = rt::knob_table();
+  const rt::Knob& row = *std::find_if(
+      table.begin(), table.end(), [](const rt::Knob& k) {
+        return std::string_view(k.name) == "SAGESIM_WORKERS";
+      });
   std::vector<unsigned> out;
-  const char* p = arg;
-  while (*p != '\0') {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(p, &end, 10);
-    if (end == p || v == 0) return fallback;
-    out.push_back(static_cast<unsigned>(v));
-    p = *end == ',' ? end + 1 : end;
-    if (*end != '\0' && *end != ',') return fallback;
+  for (;;) {
+    const std::size_t comma = arg.find(',');
+    const std::string_view item = arg.substr(0, comma);
+    if (!rt::knob_accepts(row, item)) return fallback;
+    out.push_back(static_cast<unsigned>(std::stoul(std::string(item))));
+    if (comma == std::string_view::npos) return out;
+    arg.remove_prefix(comma + 1);
   }
-  return out.empty() ? fallback : out;
 }
 
 }  // namespace bench

@@ -175,9 +175,9 @@ int main(int argc, char** argv) {
   }
 
   // Worker-count scaling on the heaviest shape: per-worker rows so a
-  // baseline records how the plan executor scales on the host it ran on
-  // (cpus_online in the JSON tells the reader how much scaling was even
-  // physically possible).
+  // baseline records how the two-phase parallel_for GEMM scales on the host
+  // it ran on (cpus_online in the JSON tells the reader how much scaling was
+  // even physically possible).
   const Shape scale_shape = *std::max_element(
       shapes.begin(), shapes.end(), [](const Shape& x, const Shape& y) {
         return x.m * x.n * x.k < y.m * y.n * y.k;

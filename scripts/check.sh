@@ -69,9 +69,9 @@ step "perf: microbench smoke"
 ctest --test-dir build --output-on-failure -L perf
 
 step "perf: multi-worker kernel smoke"
-# Exercise the compute plans on an oversubscribed pool (worker count beyond
-# SAGESIM_WORKERS and likely beyond the core count) — bit-identity and
-# completion are the assertions here, not speed.
+# Exercise the kernels' parallel_for phases on an oversubscribed pool (worker
+# count beyond SAGESIM_WORKERS and likely beyond the core count) —
+# bit-identity and completion are the assertions here, not speed.
 SAGESIM_WORKERS=4 ./build/bench/microbench_gemm --smoke --workers 1,4 \
   --json /dev/null >/dev/null
 SAGESIM_WORKERS=4 ./build/bench/microbench_spmm --smoke --workers 1,4 \

@@ -15,7 +15,7 @@
 //    conformance tests drive search explicitly; it never runs implicitly
 //    inside a kernel launch.
 //
-// Results are bit-identical across tilings by the plan-layer determinism
+// Results are bit-identical across tilings by the kernels' determinism
 // argument (tiles partition outputs; reduction order per element is fixed),
 // so a stale or missing cache entry can only cost time, never correctness.
 //

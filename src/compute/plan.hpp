@@ -1,95 +1,32 @@
-// Kernel-plan layer: the one way to launch a host compute kernel.
+// The host kernels' execution layer: which pool they run on, which ISA
+// their micro-kernels dispatch on, and where their packing scratch comes
+// from.
 //
-// A compute::Plan describes a macro-tile decomposition as a small task
-// graph — pack tasks feeding tile tasks, each node an opaque callable with
-// explicit dependencies — and compute::run executes it on the work-stealing
-// runtime.  The kernel layers (tensor/gemm_host, graph/spmm) build plans;
-// they never talk to the scheduler directly anymore.
+// There is one parallel path.  A kernel splits its output into independent
+// jobs and runs them with compute::executor().parallel_for — the blocked
+// GEMM in two phases (pack, then tiles), SpMM in one (row blocks).  The
+// calling thread claims chunks too, so a kernel launched from inside a pool
+// worker completes even on a 1-worker pool; the grain keeps tiny shapes on
+// the calling thread; the first exception aborts the remaining chunks and is
+// rethrown on the caller.
 //
-// Execution model (see DESIGN.md "Compute plans & autotuning"):
-//
-//  * Dependency-counted: a node becomes ready only when every dependency
-//    has finished; workers never block on dependencies.
-//  * Lane-aware: a node may pin itself to a scheduler lane (worker index);
-//    pinned nodes are submitted to runtime::Scheduler's pinned queues at
-//    ready time, stealable nodes go through a shared claim pool that the
-//    *calling thread participates in*.  Caller participation is what makes
-//    plan execution safe to launch from inside a pool worker (a nested
-//    plan still completes on a 1-worker pool — the same property
-//    gpusim::Executor::parallel_for has).
-//  * Cancellation-safe: the first node that throws aborts the plan — nodes
-//    claimed afterwards complete without running their body, dependents
-//    drain, and the exception is rethrown on the calling thread once every
-//    node has reached a terminal state.
-//  * Min-grain: RunOptions::min_grain is the minimum number of nodes per
-//    worker below which the plan runs serially on the calling thread
-//    (topological index order), so tiny shapes never pay fork/join.
-//
-// Determinism: a plan partitions output elements across nodes — every
-// element is written by exactly one node, and each node folds its
-// reduction in the kernel's canonical (ascending-k / ascending-edge)
-// order.  Scheduling order can therefore never perturb result bits, at
-// any worker count.
+// Determinism: every output element is written by exactly one job, and each
+// job folds its reduction in the kernel's canonical (ascending-k /
+// ascending-edge) order.  Scheduling order can therefore never perturb
+// result bits, at any worker count.
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <string>
-#include <vector>
 
 #include "gpusim/executor.hpp"
-#include "runtime/status.hpp"
 
 namespace sagesim::compute {
 
-/// One node of a plan.  `deps` are indices of previously added nodes
-/// (topological order is enforced at add time).
-struct PlanNode {
-  std::function<void()> fn;
-  std::vector<std::size_t> deps;
-  int lane{-1};  ///< pinned scheduler lane, -1 == stealable
-};
-
-/// A macro-tile decomposition: an immutable-once-run task graph.
-class Plan {
- public:
-  explicit Plan(std::string name = "plan") : name_(std::move(name)) {}
-
-  /// Adds a node depending on @p deps (all must index earlier nodes —
-  /// throws std::invalid_argument otherwise, which also rules out cycles).
-  /// Returns the node's index for use in later deps.
-  std::size_t add(std::function<void()> fn, std::vector<std::size_t> deps = {},
-                  int lane = -1);
-
-  std::size_t size() const { return nodes_.size(); }
-  bool empty() const { return nodes_.empty(); }
-  const std::string& name() const { return name_; }
-  const std::vector<PlanNode>& nodes() const { return nodes_; }
-
- private:
-  std::string name_;
-  std::vector<PlanNode> nodes_;
-};
-
-struct RunOptions {
-  /// Pool to execute on; nullptr uses compute::executor().
-  gpu::Executor* executor{nullptr};
-  /// Minimum nodes per worker before going parallel: with fewer than
-  /// 2 * min_grain stealable nodes (or a 1-worker pool) the plan runs
-  /// serially on the calling thread.
-  std::size_t min_grain{1};
-};
-
-/// Executes @p plan to completion; rethrows the first node exception after
-/// every node has reached a terminal state.
-void run(const Plan& plan, const RunOptions& options = {});
-
-/// The executor kernel plans run on by default: gpu::Executor::shared()
-/// unless overridden.  set_executor(nullptr) restores the shared pool.
-/// The override exists for worker-count sweeps (tests, microbenches) —
-/// swap in a private pool of exactly N workers without re-execing under a
-/// different SAGESIM_WORKERS.  Not intended to be raced against in-flight
-/// plans.
+/// The executor host kernels run on: gpu::Executor::shared() unless
+/// overridden.  set_executor(nullptr) restores the shared pool.  The
+/// override exists for worker-count sweeps (tests, microbenches) — swap in
+/// a private pool of exactly N workers without re-execing under a different
+/// SAGESIM_WORKERS.  Not intended to be raced against in-flight kernels.
 gpu::Executor& executor();
 void set_executor(gpu::Executor* ex);
 
@@ -99,20 +36,10 @@ Isa isa();
 /// "avx2" / "portable" — the string benches record so BENCH deltas are
 /// attributable to the dispatch choice.
 const char* isa_name();
-/// True when the CPU supports FMA3 (informational; FMA kernels are opt-in).
-bool isa_has_fma();
 
-/// Opt-in fused-multiply-add micro-kernels: first use reads
-/// SAGESIM_FAST_MATH (1/on/true).  FMA contracts the multiply-add, so the
-/// fast-math path is *excluded* from the bit-identity guarantees — results
-/// match the reference to tolerance, not bitwise (see the FastMath
-/// conformance test).  Off by default.
-bool fast_math();
-void set_fast_math(bool on);
-
-/// RAII scratch block drawn from mem::host_pool() — the packing buffers of
-/// a plan, recycled across tasks by the pool's free lists instead of hitting
-/// the host heap per launch.
+/// RAII scratch block drawn from mem::host_pool() — a kernel's packing
+/// buffers, recycled across launches by the pool's free lists instead of
+/// hitting the host heap per launch.
 class Scratch {
  public:
   explicit Scratch(std::size_t bytes);

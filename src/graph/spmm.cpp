@@ -201,11 +201,10 @@ void spmm_host_blocked_tiled(const NormalizedAdjacency& a,
   const std::size_t row_block = std::max<std::size_t>(1, tiling.row_block);
   const std::size_t tile_width = std::max<std::size_t>(8, tiling.tile_width);
 
-  // The plan here is a flat row-block decomposition — no cross-block
-  // dependencies — so it maps onto parallel_for with a grain instead of a
-  // full dependency graph.  Each output row belongs to exactly one block
-  // and keeps its ascending-edge fold, so worker count and tiling never
-  // perturb result bits.
+  // A flat row-block decomposition — no cross-block dependencies — run as
+  // one parallel_for with a grain.  Each output row belongs to exactly one
+  // block and keeps its ascending-edge fold, so worker count and tiling
+  // never perturb result bits.
   auto block_op = [=](std::size_t blk) {
     const std::size_t r0 = blk * row_block;
     const std::size_t r1 = std::min(r0 + row_block, n);
@@ -220,10 +219,6 @@ void spmm_host_blocked_tiled(const NormalizedAdjacency& a,
   };
 
   const std::size_t blocks = (n + row_block - 1) / row_block;
-  if (blocks <= 1) {
-    for (std::size_t b = 0; b < blocks; ++b) block_op(b);
-    return;
-  }
   const std::uint64_t grain =
       std::max<std::uint64_t>(1, kMinRowsPerChunk / row_block);
   compute::executor().parallel_for(

@@ -19,8 +19,6 @@ constexpr Knob kKnobs[] = {
      "runtime::Scheduler::shared() pool size (0: one per hardware thread)"},
     {"SAGESIM_TUNE_CACHE", KnobKind::kPath, 0, 0, nullptr, "",
      "compute::Autotuner cache file (unset: built-in tilings)"},
-    {"SAGESIM_FAST_MATH", KnobKind::kBool, 0, 0, kBoolWords, "off",
-     "compute::fast_math(): FMA host GEMM, tolerance-only"},
     {"SAGESIM_HOST_BACKEND", KnobKind::kChoice, 0, 0, "blocked|naive",
      "blocked", "tensor::ops::host_backend(): host GEMM/SpMM engine"},
     {"SAGESIM_MEM_POOL", KnobKind::kBool, 0, 0, kBoolWords, "on",

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <vector>
 
 #if defined(__GNUC__) && defined(__x86_64__)
@@ -38,7 +39,7 @@ namespace detail {
 namespace {
 
 // Below this m*n*k the packing traffic rivals the multiply itself and the
-// fork/join dominates: the whole plan runs inline on the calling thread.
+// fork/join dominates: both phases run inline on the calling thread.
 constexpr std::size_t kSerialFlopFloor = 64 * 64 * 64;
 
 inline float a_at(const GemmSpec& s, std::size_t i, std::size_t p) {
@@ -156,34 +157,6 @@ __attribute__((target("avx2"))) void micro_avx2(const float* __restrict ap,
       _mm256_storeu_ps(acc + (ii * NG + g) * 8, c[ii][g]);
 }
 
-/// Fused-multiply-add variant — the SAGESIM_FAST_MATH opt-in.  vfmadd
-/// keeps the intermediate product at infinite precision before the add, so
-/// results match the reference to tolerance, NOT bitwise: this kernel is
-/// excluded from the bit-identity guarantees (and therefore from the
-/// checkpoint-compatibility contract).
-template <std::size_t MR, std::size_t NG>
-__attribute__((target("avx2,fma"))) void micro_fma(const float* __restrict ap,
-                                                   const float* __restrict bp,
-                                                   std::size_t k,
-                                                   float* __restrict acc) {
-  __m256 c[MR][NG];
-  for (std::size_t ii = 0; ii < MR; ++ii)
-    for (std::size_t g = 0; g < NG; ++g)
-      c[ii][g] = _mm256_loadu_ps(acc + (ii * NG + g) * 8);
-  for (std::size_t p = 0; p < k; ++p, ap += MR, bp += NG * 8) {
-    __m256 b[NG];
-    for (std::size_t g = 0; g < NG; ++g) b[g] = _mm256_loadu_ps(bp + g * 8);
-    for (std::size_t ii = 0; ii < MR; ++ii) {
-      const __m256 av = _mm256_set1_ps(ap[ii]);
-      for (std::size_t g = 0; g < NG; ++g)
-        c[ii][g] = _mm256_fmadd_ps(av, b[g], c[ii][g]);
-    }
-  }
-  for (std::size_t ii = 0; ii < MR; ++ii)
-    for (std::size_t g = 0; g < NG; ++g)
-      _mm256_storeu_ps(acc + (ii * NG + g) * 8, c[ii][g]);
-}
-
 #endif  // SAGESIM_GEMM_AVX2
 
 /// The runtime tiling actually executed: sanitized fields + the selected
@@ -199,7 +172,6 @@ struct Tiling {
 /// entry can cost speed, never correctness.
 Tiling sanitize(const compute::GemmTiling& req, const GemmSpec& s) {
   Tiling t{};
-  const bool fma = compute::fast_math() && compute::isa_has_fma();
 #if defined(SAGESIM_GEMM_AVX2)
   if (compute::isa() == compute::Isa::kAvx2) {
     t.nr = req.nr == 8 ? 8 : 16;
@@ -207,14 +179,13 @@ Tiling sanitize(const compute::GemmTiling& req, const GemmSpec& s) {
       t.mr = req.mr == 6 ? 6 : 4;
     else
       t.mr = req.mr == 8 ? 8 : 4;
-    if (t.nr == 16 && t.mr == 4) t.fn = fma ? micro_fma<4, 2> : micro_avx2<4, 2>;
-    if (t.nr == 16 && t.mr == 6) t.fn = fma ? micro_fma<6, 2> : micro_avx2<6, 2>;
-    if (t.nr == 8 && t.mr == 4) t.fn = fma ? micro_fma<4, 1> : micro_avx2<4, 1>;
+    if (t.nr == 16 && t.mr == 4) t.fn = micro_avx2<4, 2>;
+    if (t.nr == 16 && t.mr == 6) t.fn = micro_avx2<6, 2>;
+    if (t.nr == 8 && t.mr == 4) t.fn = micro_avx2<4, 1>;
     if (t.nr == 8 && t.mr == 8) t.fn = micro_portable<8, 8>;
   }
 #endif
   if (t.fn == nullptr) {  // portable floor
-    (void)fma;
     t.nr = 8;
     t.mr = req.mr == 8 ? 8 : 4;
     t.fn = t.mr == 8 ? micro_portable<8, 8> : micro_portable<4, 8>;
@@ -339,49 +310,37 @@ void gemm_host_blocked_tiled(const GemmSpec& s, compute::GemmTiling req) {
   float* ap = apack.floats();
   float* bp = bpack.floats();
 
-  // The macro-tile task graph: pack nodes feed the (ib, jb) tile nodes
-  // that consume them.  Partitioning is over M x N only — every output
-  // element belongs to exactly one tile node — so the graph shape and the
-  // worker count cannot perturb result bits.
-  compute::Plan plan("gemm");
-  std::vector<std::size_t> a_ids(mpanels), b_ids(nblocks);
-  for (std::size_t jb = 0; jb < nblocks; ++jb) {
-    const std::size_t j0 = jb * nc;
-    const std::size_t jcols = std::min(nc, s.n - j0);
-    b_ids[jb] = plan.add(
-        [&s, &t, j0, jcols, dst = bp + b_off[jb]] {
-          pack_b_block(s, j0, jcols, t.nr, dst);
-        });
-  }
-  for (std::size_t ib = 0; ib < mpanels; ++ib) {
-    const std::size_t i0 = ib * t.mc;
-    const std::size_t mrows = std::min(t.mc, s.m - i0);
-    a_ids[ib] = plan.add(
-        [&s, &t, i0, mrows, dst = ap + a_off[ib]] {
-          pack_a_panel(s, i0, mrows, t.mr, dst);
-        });
-  }
-  for (std::size_t ib = 0; ib < mpanels; ++ib) {
-    const std::size_t i0 = ib * t.mc;
-    const std::size_t mrows = std::min(t.mc, s.m - i0);
-    for (std::size_t jb = 0; jb < nblocks; ++jb) {
-      const std::size_t j0 = jb * nc;
-      const std::size_t jcols = std::min(nc, s.n - j0);
-      plan.add(
-          [&s, &t, i0, mrows, j0, jcols, a_src = ap + a_off[ib],
-           b_src = bp + b_off[jb]] {
-            run_tile(s, t, a_src, i0, mrows, b_src, j0, jcols);
-          },
-          {a_ids[ib], b_ids[jb]});
-    }
-  }
-
-  // Min-grain: tiny shapes run the plan inline (compute::run's serial path
-  // claims no scheduler help below the grain either way, but the explicit
-  // floor keeps the decision in one place and cheap to reason about).
-  compute::RunOptions opts;
-  if (s.m * s.n * s.k < kSerialFlopFloor) opts.min_grain = plan.size();
-  compute::run(plan, opts);
+  // Two fork-join phases: every pack job, then every M x N tile.  Pack jobs
+  // never depend on each other, and every output element belongs to exactly
+  // one tile job, so neither the worker count nor the tiling can perturb
+  // result bits.  Below the flop floor each phase is a single chunk, which
+  // parallel_for runs on the calling thread.
+  const bool serial = s.m * s.n * s.k < kSerialFlopFloor;
+  gpu::Executor& ex = compute::executor();
+  const std::uint64_t packs = nblocks + mpanels;
+  ex.parallel_for(
+      packs,
+      [&](std::uint64_t job) {
+        if (job < nblocks) {
+          const std::size_t j0 = job * nc;
+          pack_b_block(s, j0, std::min(nc, s.n - j0), t.nr, bp + b_off[job]);
+        } else {
+          const std::size_t ib = job - nblocks;
+          const std::size_t i0 = ib * t.mc;
+          pack_a_panel(s, i0, std::min(t.mc, s.m - i0), t.mr, ap + a_off[ib]);
+        }
+      },
+      serial ? packs : 1);
+  const std::uint64_t tiles = mpanels * nblocks;
+  ex.parallel_for(
+      tiles,
+      [&](std::uint64_t tile) {
+        const std::size_t ib = tile / nblocks, jb = tile % nblocks;
+        const std::size_t i0 = ib * t.mc, j0 = jb * nc;
+        run_tile(s, t, ap + a_off[ib], i0, std::min(t.mc, s.m - i0),
+                 bp + b_off[jb], j0, std::min(nc, s.n - j0));
+      },
+      serial ? tiles : 1);
 }
 
 }  // namespace detail

@@ -2,12 +2,10 @@
 // tensor::ops::gemm and its fused-epilogue variants, plus the naive
 // reference loops it is benchmarked and regression-tested against.
 //
-// Since the compute-plan refactor the blocked engine is a thin kernel
-// front-end: it consults compute::Autotuner for a shape-keyed tiling
-// (MR/NR register micro-tile, MC/NC macro panels, KC reduction slabs),
-// describes the macro-tile decomposition as a compute::Plan — pack-A and
-// pack-B nodes feeding dependency-counted tile nodes — and hands the plan
-// to compute::run, which executes it on the work-stealing runtime.
+// The blocked engine consults compute::Autotuner for a shape-keyed tiling
+// (MR/NR register micro-tile, MC/NC macro panels, KC reduction slabs) and
+// runs as two compute::executor().parallel_for phases: pack every B block
+// and A panel, then compute every MC x NC output tile.
 //
 // Both backends accumulate every output element as the same ascending-k
 // chain of float multiply-adds, so they are bit-identical by construction
@@ -15,9 +13,7 @@
 // layout and KC slabbing round-trips the partial sum through a float
 // (exact), never the reduction order.  That is what lets the training
 // stack swap kernels without perturbing the checkpoint bit-identity ladder
-// (see DESIGN.md "Compute plans & autotuning").  The one exception is the
-// opt-in SAGESIM_FAST_MATH FMA micro-kernel, which contracts multiply-adds
-// and is documented as tolerance-only.
+// (see DESIGN.md "Compute executor & autotuning").
 #pragma once
 
 #include <cstddef>
@@ -67,8 +63,7 @@ struct GemmSpec {
 void gemm_host_naive(const GemmSpec& spec);
 
 /// Packed + register-blocked + parallel engine with the autotuned (or
-/// default) tiling for the spec's shape.  Bit-identical to gemm_host_naive
-/// unless SAGESIM_FAST_MATH is enabled.
+/// default) tiling for the spec's shape.  Bit-identical to gemm_host_naive.
 void gemm_host_blocked(const GemmSpec& spec);
 
 /// Same engine with an explicit tiling — the entry point the autotuner's

@@ -1,5 +1,5 @@
-// Tests for the compute module: kernel plans (dependency order, abort,
-// nesting, lanes, min-grain), the shape-keyed autotuner (round-trip
+// Tests for the compute module: the kernels' parallel_for path (grain,
+// nesting, pooled scratch), the shape-keyed autotuner (round-trip
 // persistence, corrupt-cache degradation), and the worker-count sweeps
 // that pin the bit-identity contract — GEMM, SpMM and Algorithm 1 must
 // produce identical bits on 1, 2 and 8 workers.
@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <fstream>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -36,150 +35,15 @@ struct ExecutorGuard {
   ~ExecutorGuard() { compute::set_executor(nullptr); }
 };
 
-struct FastMathGuard {
-  bool prev{compute::fast_math()};
-  explicit FastMathGuard(bool on) { compute::set_fast_math(on); }
-  ~FastMathGuard() { compute::set_fast_math(prev); }
-};
-
 std::string temp_path(const std::string& leaf) {
   return ::testing::TempDir() + leaf;
 }
 
 }  // namespace
 
-// --- plan construction -----------------------------------------------------------
+// --- pooled scratch --------------------------------------------------------------
 
-TEST(Plan, AddEnforcesTopologicalOrder) {
-  compute::Plan plan("topo");
-  const std::size_t a = plan.add([] {});
-  EXPECT_EQ(a, 0u);
-  const std::size_t b = plan.add([] {}, {a});
-  EXPECT_EQ(b, 1u);
-  // A dependency on itself or on a not-yet-added node is rejected.
-  EXPECT_THROW(plan.add([] {}, {2}), std::invalid_argument);
-  EXPECT_THROW(plan.add([] {}, {99}), std::invalid_argument);
-  EXPECT_EQ(plan.size(), 2u);
-}
-
-TEST(Plan, EmptyPlanRunsTrivially) {
-  compute::Plan plan("empty");
-  EXPECT_TRUE(plan.empty());
-  compute::run(plan);  // no-op, no throw
-}
-
-TEST(Plan, RunRespectsDependencies) {
-  // Diamond: a -> {b, c} -> d, run on a private 2-worker pool.  Each node
-  // records the completion count it observed; dependencies bound what it
-  // must have seen.
-  gpu::Executor ex(2);
-  std::atomic<int> done{0};
-  int seen_b = -1, seen_c = -1, seen_d = -1;
-  compute::Plan plan("diamond");
-  const auto a = plan.add([&] { done.fetch_add(1); });
-  const auto b = plan.add([&] { seen_b = done.fetch_add(1); }, {a});
-  const auto c = plan.add([&] { seen_c = done.fetch_add(1); }, {a});
-  plan.add([&] { seen_d = done.fetch_add(1); }, {b, c});
-
-  compute::RunOptions opts;
-  opts.executor = &ex;
-  compute::run(plan, opts);
-
-  EXPECT_EQ(done.load(), 4);
-  EXPECT_GE(seen_b, 1);  // a finished first
-  EXPECT_GE(seen_c, 1);
-  EXPECT_EQ(seen_d, 3);  // all three predecessors done
-}
-
-TEST(Plan, MinGrainRunsSeriallyOnCaller) {
-  gpu::Executor ex(2);
-  const auto caller = std::this_thread::get_id();
-  std::vector<std::thread::id> ran(4);
-  std::vector<std::size_t> order;
-  compute::Plan plan("serial");
-  for (std::size_t i = 0; i < 4; ++i)
-    plan.add([&ran, &order, i] {
-      ran[i] = std::this_thread::get_id();
-      order.push_back(i);
-    });
-
-  compute::RunOptions opts;
-  opts.executor = &ex;
-  opts.min_grain = 16;  // 4 nodes < 2 * 16 -> serial fallback
-  compute::run(plan, opts);
-
-  for (const auto& id : ran) EXPECT_EQ(id, caller);
-  ASSERT_EQ(order.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(order[i], i);  // index order
-}
-
-TEST(Plan, FirstExceptionAbortsDependentsAndRethrows) {
-  gpu::Executor ex(2);
-  std::atomic<bool> dependent_ran{false};
-  compute::Plan plan("boom");
-  const auto bad =
-      plan.add([] { throw std::runtime_error("tile exploded"); });
-  plan.add([&] { dependent_ran = true; }, {bad});
-
-  compute::RunOptions opts;
-  opts.executor = &ex;
-  EXPECT_THROW(compute::run(plan, opts), std::runtime_error);
-  // The dependent reached a terminal state without running its body.
-  EXPECT_FALSE(dependent_ran.load());
-}
-
-TEST(Plan, SerialFallbackAlsoRethrows) {
-  gpu::Executor ex(1);
-  std::atomic<bool> later_ran{false};
-  compute::Plan plan("boom-serial");
-  plan.add([] { throw std::out_of_range("first"); });
-  plan.add([&] { later_ran = true; });
-  compute::RunOptions opts;
-  opts.executor = &ex;
-  EXPECT_THROW(compute::run(plan, opts), std::out_of_range);
-  EXPECT_FALSE(later_ran.load());
-}
-
-TEST(Plan, NestedRunInsidePoolWorkerCompletes) {
-  // A plan node that itself runs a plan on the same pool — the shape
-  // core::Workflow stages produce when a stage calls a blocked kernel.
-  // Caller participation means this cannot deadlock, even 1-worker.
-  for (const unsigned workers : {1u, 2u}) {
-    gpu::Executor ex(workers);
-    compute::RunOptions opts;
-    opts.executor = &ex;
-    std::atomic<int> inner_done{0};
-    compute::Plan outer("outer");
-    for (int i = 0; i < 2; ++i)
-      outer.add([&] {
-        compute::Plan inner("inner");
-        for (int j = 0; j < 4; ++j) inner.add([&] { inner_done.fetch_add(1); });
-        compute::run(inner, opts);
-      });
-    compute::run(outer, opts);
-    EXPECT_EQ(inner_done.load(), 8) << "workers=" << workers;
-  }
-}
-
-TEST(Plan, PinnedLanesRunAndOutOfRangeLaneThrows) {
-  gpu::Executor ex(2);
-  compute::RunOptions opts;
-  opts.executor = &ex;
-
-  std::atomic<int> done{0};
-  compute::Plan plan("pinned");
-  const auto p0 = plan.add([&] { done.fetch_add(1); }, {}, /*lane=*/0);
-  const auto p1 = plan.add([&] { done.fetch_add(1); }, {}, /*lane=*/1);
-  plan.add([&] { done.fetch_add(1); }, {p0, p1});  // stealable join
-  compute::run(plan, opts);
-  EXPECT_EQ(done.load(), 3);
-
-  compute::Plan bad("bad-lane");
-  bad.add([] {}, {}, /*lane=*/5);
-  EXPECT_THROW(compute::run(bad, opts), std::out_of_range);
-}
-
-TEST(Plan, ScratchDrawsFromPool) {
+TEST(Scratch, DrawsFromPool) {
   compute::Scratch empty(0);
   EXPECT_EQ(empty.data(), nullptr);
   compute::Scratch block(1024 * sizeof(float));
@@ -210,6 +74,51 @@ TEST(ParallelFor, GrainStillVisitsEveryIndexOnce) {
         100, [&](std::uint64_t i) { hits[i].fetch_add(1); }, grain);
     for (std::size_t i = 0; i < hits.size(); ++i)
       ASSERT_EQ(hits[i].load(), 1) << "grain=" << grain << " i=" << i;
+  }
+}
+
+TEST(ParallelFor, NestedBlockedGemmCompletesBitExact) {
+  // A blocked GEMM above the serial floor, launched from inside a
+  // parallel_for body on the same pool — the shape core::Workflow stages
+  // produce when a stage calls a blocked kernel.  Caller participation
+  // means its pack and tile phases complete even with every worker busy.
+  Rng rng(2024);
+  const std::size_t m = 96, n = 80, k = 72;
+  tensor::Tensor at(k, m), bt(n, k), seed(m, n);  // stored transposed
+  at.init_uniform(rng, -1, 1);
+  bt.init_uniform(rng, -1, 1);
+  seed.init_uniform(rng, -1, 1);
+
+  ops::detail::GemmSpec spec;
+  spec.a = at.data();
+  spec.b = bt.data();
+  spec.m = m;
+  spec.n = n;
+  spec.k = k;
+  spec.lda = at.cols();
+  spec.ldb = bt.cols();
+  spec.ta = true;
+  spec.tb = true;
+  spec.alpha = 0.5f;
+  spec.accumulate = true;
+
+  tensor::Tensor ref = seed;
+  spec.c = ref.data();
+  ops::detail::gemm_host_naive(spec);
+
+  for (const unsigned workers : {1u, 2u}) {
+    gpu::Executor ex(workers);
+    ExecutorGuard guard(&ex);
+    std::vector<tensor::Tensor> outs(4, seed);
+    ex.parallel_for(outs.size(), [&](std::uint64_t i) {
+      ops::detail::GemmSpec inner = spec;
+      inner.c = outs[i].data();
+      ops::detail::gemm_host_blocked(inner);
+    });
+    for (std::size_t o = 0; o < outs.size(); ++o)
+      for (std::size_t i = 0; i < ref.size(); ++i)
+        ASSERT_EQ(ref[i], outs[o][i])
+            << "workers=" << workers << " out " << o << " at " << i;
   }
 }
 
@@ -497,68 +406,4 @@ TEST(WorkerSweep, Alg1TrainingBitIdenticalAcrossWorkerCounts) {
           << "workers=" << workers << " epoch " << e;
     EXPECT_EQ(base.test_accuracy, res.test_accuracy) << "workers=" << workers;
   }
-}
-
-// --- opt-in fast math ------------------------------------------------------------
-
-TEST(FastMath, FmaKernelMatchesReferenceToTolerance) {
-  // SAGESIM_FAST_MATH swaps in FMA micro-kernels: contracted multiply-adds
-  // drop the intermediate rounding, so results are close-but-not-bitwise.
-  // This is the documented exception to the bit-identity contract.
-  if (compute::isa() != compute::Isa::kAvx2 || !compute::isa_has_fma())
-    GTEST_SKIP() << "no FMA on this host";
-
-  Rng rng(1234);
-  const std::size_t m = 64, k = 96, n = 48;
-  tensor::Tensor a(m, k), b(k, n);
-  a.init_uniform(rng, -1, 1);
-  b.init_uniform(rng, -1, 1);
-
-  ops::detail::GemmSpec spec;
-  spec.a = a.data();
-  spec.b = b.data();
-  spec.m = m;
-  spec.n = n;
-  spec.k = k;
-  spec.lda = k;
-  spec.ldb = n;
-
-  tensor::Tensor ref(m, n);
-  spec.c = ref.data();
-  ops::detail::gemm_host_naive(spec);
-
-  FastMathGuard guard(true);
-  ASSERT_TRUE(compute::fast_math());
-  tensor::Tensor out(m, n);
-  spec.c = out.data();
-  ops::detail::gemm_host_blocked_tiled(spec, compute::GemmTiling{});
-  // |error| is bounded by ~k ulps of the accumulated magnitude; for k = 96
-  // and inputs in [-1, 1] a 1e-4 absolute tolerance is generous but still
-  // tight enough to catch an indexing bug (which produces O(1) errors).
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    ASSERT_NEAR(ref[i], out[i], 1e-4f) << "at " << i;
-}
-
-TEST(FastMath, OffByDefaultKeepsBitIdentity) {
-  ASSERT_FALSE(compute::fast_math());  // tests run without SAGESIM_FAST_MATH
-  Rng rng(555);
-  const std::size_t m = 32, k = 64, n = 32;
-  tensor::Tensor a(m, k), b(k, n);
-  a.init_uniform(rng, -1, 1);
-  b.init_uniform(rng, -1, 1);
-  ops::detail::GemmSpec spec;
-  spec.a = a.data();
-  spec.b = b.data();
-  spec.m = m;
-  spec.n = n;
-  spec.k = k;
-  spec.lda = k;
-  spec.ldb = n;
-  tensor::Tensor ref(m, n), out(m, n);
-  spec.c = ref.data();
-  ops::detail::gemm_host_naive(spec);
-  spec.c = out.data();
-  ops::detail::gemm_host_blocked_tiled(spec, compute::GemmTiling{});
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    ASSERT_EQ(ref[i], out[i]) << "at " << i;
 }

@@ -2,7 +2,8 @@
 // (src/runtime): dependency diamonds, failure propagation, pinned vs
 // stealable placement, cancellation, continuations, when_all, the
 // SAGESIM_WORKERS override, a many-task churn run executed twice to catch
-// ordering nondeterminism, and the SAGESIM_* knob table's parse edges.
+// ordering nondeterminism, the SAGESIM_* knob table's parse edges and its
+// README twin, and the bench harness's --workers parser.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -20,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/knobs.hpp"
 #include "runtime/scheduler.hpp"
@@ -474,16 +477,39 @@ std::vector<std::string> just_outside(const rt::Knob& k) {
 TEST(Knobs, TableListsEveryKnobOnce) {
   const std::vector<std::string> want{
       "SAGESIM_WORKERS",          "SAGESIM_TUNE_CACHE",
-      "SAGESIM_FAST_MATH",        "SAGESIM_HOST_BACKEND",
-      "SAGESIM_MEM_POOL",         "SAGESIM_FAULT_SEED",
-      "SAGESIM_FAULT_RATE",       "SAGESIM_GPU_FIDELITY",
-      "SAGESIM_DDP_BUCKET_MB",    "SAGESIM_RAG_MAX_BATCH",
-      "SAGESIM_RAG_MAX_DELAY_US", "SAGESIM_RAG_EMBED_CACHE",
-      "SAGESIM_RAG_RESULT_CACHE", "SAGESIM_RAG_DEADLINE_S"};
+      "SAGESIM_HOST_BACKEND",     "SAGESIM_MEM_POOL",
+      "SAGESIM_FAULT_SEED",       "SAGESIM_FAULT_RATE",
+      "SAGESIM_GPU_FIDELITY",     "SAGESIM_DDP_BUCKET_MB",
+      "SAGESIM_RAG_MAX_BATCH",    "SAGESIM_RAG_MAX_DELAY_US",
+      "SAGESIM_RAG_EMBED_CACHE",  "SAGESIM_RAG_RESULT_CACHE",
+      "SAGESIM_RAG_DEADLINE_S"};
   std::vector<std::string> got;
   for (const rt::Knob& k : rt::knob_table()) got.emplace_back(k.name);
   EXPECT_EQ(got, want);
   EXPECT_THROW(rt::knob("SAGESIM_WORKER"), std::invalid_argument);
+}
+
+TEST(Knobs, ReadmeTableMatchesKnobTable) {
+  // README's "Environment knobs" table is the user-facing list of every
+  // knob: adding or removing a row of the table in knobs.cpp without the
+  // docs (or the reverse) fails here.
+  std::ifstream readme(std::string(SAGESIM_SOURCE_DIR) + "/README.md");
+  ASSERT_TRUE(readme.is_open());
+  std::vector<std::string> documented;
+  bool in_section = false;
+  for (std::string line; std::getline(readme, line);) {
+    if (line.starts_with("#")) {
+      in_section = line == "### Environment knobs";
+      continue;
+    }
+    if (!in_section || !line.starts_with("| `SAGESIM_")) continue;
+    const std::size_t end = line.find('`', 3);
+    ASSERT_NE(end, std::string::npos) << line;
+    documented.push_back(line.substr(3, end - 3));
+  }
+  std::vector<std::string> table;
+  for (const rt::Knob& k : rt::knob_table()) table.emplace_back(k.name);
+  EXPECT_EQ(documented, table);
 }
 
 TEST(Knobs, MalformedValuesReadAsTheDefaultAndAreReported) {
@@ -556,11 +582,25 @@ TEST(Knobs, WellFormedValuesKeepTheirMeaning) {
     EXPECT_FALSE(rt::knob_bool("SAGESIM_MEM_POOL"));
   }
   for (const char* v : {"1", "on", "true"}) {
-    const ScopedEnv pool("SAGESIM_FAST_MATH", v);
-    EXPECT_TRUE(rt::knob_bool("SAGESIM_FAST_MATH"));
+    const ScopedEnv pool("SAGESIM_MEM_POOL", v);
+    EXPECT_TRUE(rt::knob_bool("SAGESIM_MEM_POOL"));
   }
-  EXPECT_TRUE(rt::knob_bool("SAGESIM_MEM_POOL"));    // unset: on
-  EXPECT_FALSE(rt::knob_bool("SAGESIM_FAST_MATH"));  // unset: off
+  EXPECT_TRUE(rt::knob_bool("SAGESIM_MEM_POOL"));  // unset: on
   const ScopedEnv deadline("SAGESIM_RAG_DEADLINE_S", "0.25");
   EXPECT_DOUBLE_EQ(rt::knob_double("SAGESIM_RAG_DEADLINE_S"), 0.25);
+}
+
+// --- bench --workers lists ------------------------------------------------------
+
+TEST(BenchWorkers, ParseAcceptsOnlyPoolSizesTheWorkersKnobAccepts) {
+  // Parser only: never construct a pool from these values — a wrapped sign
+  // would ask for 4294967295 threads.
+  const std::vector<unsigned> fallback{7};
+  for (const char* bad : {"-1", "2,-1", "4294967297", "4096", "1,,2", "1,",
+                          "", "0", "+2", " 1"})
+    EXPECT_EQ(bench::parse_workers(bad, fallback), fallback) << bad;
+  EXPECT_EQ(bench::parse_workers("1,2,4", fallback),
+            (std::vector<unsigned>{1, 2, 4}));
+  EXPECT_EQ(bench::parse_workers("4095", fallback),
+            (std::vector<unsigned>{4095}));
 }
